@@ -4,11 +4,24 @@ An :class:`ArcSet` holds finitely many explicit arcs plus any number of
 symbolic families, so membership, "does this arc cross the set", fountain
 loci and window enumerations are all decided exactly; only *listings* are
 truncated to a :class:`Window`.
+
+The two listings, :func:`nc_window` and :func:`members_in_window`, are one
+sweep over the feet ``t`` of the window.  For a fixed foot every constraint
+is an interval of heads ``u``: an explicit arc ``(r, v)`` blocks ``u > v``
+when ``r < t < v`` and ``r < u < v`` when ``t < r``, and each family states
+its blocked and member heads per foot (see :mod:`infgon.families`).  Merging
+the intervals and stepping through the admissible heads costs
+O(W * (m + f) + output) for window width W, m explicit arcs and f families,
+against O(W^2 / n * (m + f)) for testing every candidate arc.  The
+candidate-filter versions are kept, frozen, as the brute-force references
+``nc_window_brute`` and ``members_in_window_brute`` in :mod:`infgon.oracles`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Iterator
 
 from .arcs import Arc, ModelParams, cross, is_admissible, require_admissible
@@ -100,12 +113,38 @@ def crosses_set(a: Arc, s: ArcSet) -> bool:
     return any(f.crossed_by(a, s.params) for f in s.families)
 
 
+def _align(x: int, t: int, n: int) -> int:
+    """Least admissible head of foot ``t`` that is at least ``x``."""
+    return x + (t + 1 - x) % n
+
+
+# The sweeps build their output arcs with tuple.__new__: t < u and the
+# residue hold by construction, so Arc's checks would only repeat them.
+_make = tuple.__new__
+
+
 def members_in_window(s: ArcSet, w: Window) -> list[Arc]:
     """Members of ``s`` with both endpoints in ``w``, sorted, deduplicated."""
-    found = {a for a in s.explicit if w.lo <= a.t and a.u <= w.hi}
-    for f in s.families:
-        found.update(f.members_in(w.lo, w.hi, s.params))
-    return sorted(found)
+    n, hi, fams = s.params.n, w.hi, s.families
+    explicit: dict[int, list[tuple[int, int]]] = {}
+    for r, v in s.explicit:
+        if w.lo <= r and v <= hi:
+            explicit.setdefault(r, []).append((v, v))
+    out: list[Arc] = []
+    for t in range(w.lo, hi - 1):
+        heads = list(explicit.get(t, ()))
+        for f in fams:
+            for a, b in f.member_heads(t, n):
+                heads.append((a, hi if b is None or b > hi else b))
+        heads.sort()
+        u = t + n + 1
+        for a, b in heads:
+            if a > u:
+                u = _align(a, t, n)
+            if u <= b:
+                out += [_make(Arc, (t, x)) for x in range(u, b + 1, n)]
+                u = _align(b + 1, t, n)
+    return out
 
 
 def nc_window(s: ArcSet, w: Window) -> list[Arc]:
@@ -114,7 +153,41 @@ def nc_window(s: ArcSet, w: Window) -> list[Arc]:
     Pointwise decisions are exact (tested against the full symbolic set);
     only the enumeration is truncated.
     """
-    return [a for a in admissible_arcs_in(w, s.params) if not crosses_set(a, s)]
+    n, hi, fams = s.params.n, w.hi, s.families
+    arcs = sorted(s.explicit)
+    feet = [r for r, _ in arcs]
+    inside = [(r + 1, v - 1) for r, v in arcs]  # heads blocked by (r, v) when t < r
+    spanning: list[int] = []  # min-heap of heads v of the arcs (r, v) with r < t
+    entered = 0
+    out: list[Arc] = []
+    for t in range(w.lo, hi - 1):
+        while entered < len(arcs) and feet[entered] < t:
+            heappush(spanning, arcs[entered][1])
+            entered += 1
+        while spanning and spanning[0] <= t:
+            heappop(spanning)
+        top = min(hi, spanning[0]) if spanning else hi  # last head not capped
+        blocked = inside[bisect_right(feet, t) :]
+        for f in fams:
+            for a, b in f.crossed_heads(t, n):
+                if b is None:
+                    top = min(top, a - 1)
+                else:
+                    blocked.append((a, b))
+        u = t + n + 1
+        if u > top:
+            continue
+        blocked.sort()
+        for a, b in blocked:
+            if a > top:
+                break
+            if a > u:
+                out += [_make(Arc, (t, x)) for x in range(u, a, n)]
+                u = _align(a, t, n)
+            if b >= u:
+                u = _align(b + 1, t, n)
+        out += [_make(Arc, (t, x)) for x in range(u, top + 1, n)]
+    return out
 
 
 def fountain_loci(s: ArcSet) -> tuple[IntRegion, IntRegion]:
@@ -196,10 +269,7 @@ def in_nc_nc(a: Arc, s: ArcSet) -> bool:
         pts.extend((e.t, e.u))
     margin = s.params.n + 2
     bound = Window(min(pts) - margin, max(pts) + margin)
-    for b in admissible_arcs_in(bound, s.params):
-        if cross(a, b) and not crosses_set(b, s):
-            return False
-    return True
+    return not any(cross(a, b) for b in nc_window(s, bound))
 
 
 def double_nc_extras(s: ArcSet, w: Window) -> list[Arc]:
@@ -212,8 +282,7 @@ def double_nc_extras(s: ArcSet, w: Window) -> list[Arc]:
     if s.families:
         raise UnsupportedFamilies("double_nc_extras supports finite arc sets only")
     margin = s.params.n + 2
-    search = Window(w.lo - margin, w.hi + margin)
-    nc = [b for b in admissible_arcs_in(search, s.params) if not crosses_set(b, s)]
+    nc = nc_window(s, Window(w.lo - margin, w.hi + margin))
     extras = []
     for a in admissible_arcs_in(w, s.params):
         if a in s.explicit:

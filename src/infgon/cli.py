@@ -43,8 +43,8 @@ _ARC_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 
 def _parse_window(text: str) -> Window:
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
-    if not m:
-        raise InfgonError(f"bad window {text!r}; expected LO..HI, e.g. -20..20")
+    if not m or int(m.group(1)) >= int(m.group(2)):
+        raise InfgonError(f"bad window {text!r}; expected LO..HI with LO < HI, e.g. -20..20")
     return Window(int(m.group(1)), int(m.group(2)))
 
 
@@ -61,12 +61,7 @@ def _parse_arcs(text: str, count: int | None = None) -> list[Arc]:
 def _load_document(args: argparse.Namespace) -> Document:
     if not args.input:
         raise InfgonError("this command needs --input FILE")
-    raw = Path(args.input).read_bytes()
-    if args.n is not None:
-        obj = json.loads(raw)
-        obj["n"] = args.n
-        raw = json.dumps(obj).encode()
-    return parse_document(raw)
+    return parse_document(Path(args.input).read_bytes(), n=args.n)
 
 
 def _encode_witness(w: object) -> object:
@@ -478,19 +473,16 @@ def _absorb_window_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(_absorb_window_values(sys.argv[1:] if argv is None else list(argv)))
-    if args.command in ("ext", "hom", "oracle") and args.n is None:
-        if args.input:
-            args.n = parse_document(Path(args.input).read_bytes()).params.n
-        else:
-            print(f"error: {args.command} needs --n or --input", file=sys.stderr)
-            return 2
     try:
+        if args.n is not None and args.n < 1:
+            raise InfgonError(f"--n must be a positive integer, got {args.n}")
+        if args.command in ("ext", "hom", "oracle") and args.n is None:
+            if not args.input:
+                raise InfgonError(f"{args.command} needs --n or --input")
+            args.n = _load_document(args).params.n
         return args.fn(args)
-    except InfgonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InfgonError, OSError) as exc:
+        print(f"infgon: error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -59,8 +59,11 @@ def _int_pair(v: object, locus: str) -> tuple[int, int]:
     return v[0], v[1]
 
 
-def parse_document(data: bytes | str) -> Document:
-    """Parse and validate a document; errors carry the offending locus."""
+def parse_document(data: bytes | str, n: int | None = None) -> Document:
+    """Parse and validate a document; errors carry the offending locus.
+
+    A given ``n`` replaces the document's modulus before validation.
+    """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -75,7 +78,8 @@ def parse_document(data: bytes | str) -> Document:
     unknown = set(obj) - {"n", "sets"}
     if unknown:
         raise ValidationError(f"top level: unknown fields {sorted(unknown)}")
-    n = obj.get("n")
+    if n is None:
+        n = obj.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"n: expected a positive integer, got {n!r}")
     params = ModelParams(n)

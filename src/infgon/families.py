@@ -9,15 +9,23 @@ Five closed-form kinds suffice for every infinite set this package needs:
 * ``HalfLeft(p)``         -- all admissible arcs with both endpoints ``<= p``;
 * ``HalfRight(q)``        -- dually, both endpoints ``>= q``.
 
-Each kind decides membership, "is some member crossed by this arc", window
-enumeration, and its fountain-locus contribution exactly; the crossing tests
-reduce to at most one residue search over a single period, and every one of
-them is pinned against brute enumeration in the test suite.
+Each kind states its geometry once, per foot.  For a fixed left endpoint
+``t``, ``member_heads(t, n)`` gives the heads ``u`` of its members
+``(t, u)`` and ``crossed_heads(t, n)`` the heads of the arcs ``(t, u)`` that
+some member crosses.  Both are tuples of closed intervals ``(a, b)``, with
+``b = None`` for ``[a, inf)``; they ignore admissibility, which the caller
+imposes by stepping through the heads ``u = t + 1 (mod n)`` from ``t + n + 1``
+on.  ``crossed_by`` and ``members_in`` are thin wrappers over them, and the
+closure sweeps in :mod:`infgon.arcsets` read them directly.  ``is_member``
+stays a direct test, so the brute-force references in :mod:`infgon.oracles`
+do not depend on the per-foot methods.  Each kind also gives its fountain-locus
+contribution, and every predicate is pinned against brute enumeration in the
+test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Union
 
 from .arcs import Arc, ModelParams
@@ -32,23 +40,35 @@ __all__ = [
     "LeftFan",
     "RightFan",
     "family_from_json",
+    "family_scalars",
     "family_to_json",
 ]
 
-
-def _residue_in(lo: int, hi: int, target: int, n: int) -> bool:
-    """Is there an x in [lo, hi] with x = target (mod n)?"""
-    if lo > hi:
-        return False
-    first = lo + (target - lo) % n
-    return first <= hi
+# closed head intervals (a, b) for one foot; b is None for [a, inf)
+Heads = tuple[tuple[int, int | None], ...]
 
 
-def _iter_residue(lo: int, hi: int, target: int, n: int) -> Iterator[int]:
-    if lo > hi:
-        return
-    first = lo + (target - lo) % n
-    yield from range(first, hi + 1, n)
+def _first_from(lo: int, target: int, n: int) -> int:
+    """Least x >= lo with x = target (mod n)."""
+    return lo + (target - lo) % n
+
+
+def _crossed_by(self, a: Arc, params: ModelParams) -> bool:
+    """Does some member cross the admissible arc ``a``?"""
+    u = a.u
+    return any(
+        lo <= u and (hi is None or u <= hi) for lo, hi in self.crossed_heads(a.t, params.n)
+    )
+
+
+def _members_in(self, lo: int, hi: int, params: ModelParams) -> Iterator[Arc]:
+    """Members with both endpoints in ``[lo, hi]``, sorted."""
+    n = params.n
+    for t in range(lo, hi - 1):
+        for a, b in self.member_heads(t, n):
+            top = hi if b is None else min(b, hi)
+            for u in range(_first_from(max(a, t + n + 1), t + 1, n), top + 1, n):
+                yield Arc(t, u)
 
 
 @dataclass(frozen=True)
@@ -59,24 +79,27 @@ class LeftFan:
     s_max: int
 
     kind = "left_fan"
+    crossed_by = _crossed_by
+    members_in = _members_in
 
     def is_member(self, a: Arc, params: ModelParams) -> bool:
         return a.u == self.p and a.t <= self.s_max
 
-    def crossed_by(self, a: Arc, params: ModelParams) -> bool:
-        t, u = a
-        if t < self.p < u:
-            return True  # feet reach arbitrarily far left of t
-        if u < self.p:
-            hi = min(u - 1, self.s_max)
-            return _residue_in(t + 1, hi, self.p - 1, params.n)
-        return False
+    def member_heads(self, t: int, n: int) -> Heads:
+        if t <= min(self.s_max, self.p - 2) and (self.p - 1 - t) % n == 0:
+            return ((self.p, self.p),)
+        return ()
 
-    def members_in(self, lo: int, hi: int, params: ModelParams) -> Iterator[Arc]:
-        if not lo <= self.p <= hi:
-            return
-        for s in _iter_residue(lo, min(self.s_max, self.p - 2), self.p - 1, params.n):
-            yield Arc(s, self.p)
+    def crossed_heads(self, t: int, n: int) -> Heads:
+        # Heads beyond p cross the members with feet far left of t; heads short
+        # of p cross the members whose foot x0 lies between t and the head.
+        p = self.p
+        if t >= p:
+            return ()
+        x0 = _first_from(t + 1, p - 1, n)
+        if x0 <= self.s_max:
+            return ((x0 + 1, p - 1), (p + 1, None))
+        return ((p + 1, None),)
 
     def left_locus(self) -> IntRegion:
         return IntRegion.of(points=[self.p])
@@ -93,24 +116,25 @@ class RightFan:
     u_min: int
 
     kind = "right_fan"
+    crossed_by = _crossed_by
+    members_in = _members_in
 
     def is_member(self, a: Arc, params: ModelParams) -> bool:
         return a.t == self.p and a.u >= self.u_min
 
-    def crossed_by(self, a: Arc, params: ModelParams) -> bool:
-        t, u = a
-        if t < self.p < u:
-            return True
-        if self.p < t:
-            lo = max(t + 1, self.u_min)
-            return _residue_in(lo, u - 1, self.p + 1, params.n)
-        return False
+    def member_heads(self, t: int, n: int) -> Heads:
+        return ((max(self.u_min, t + 2), None),) if t == self.p else ()
 
-    def members_in(self, lo: int, hi: int, params: ModelParams) -> Iterator[Arc]:
-        if not lo <= self.p <= hi:
-            return
-        for u in _iter_residue(max(self.u_min, self.p + 2, lo), hi, self.p + 1, params.n):
-            yield Arc(self.p, u)
+    def crossed_heads(self, t: int, n: int) -> Heads:
+        # Left of p, heads beyond p cross the members with far heads; right of
+        # p, heads beyond the first member head y0 past t cross (p, y0).
+        p = self.p
+        if t < p:
+            return ((p + 1, None),)
+        if t > p:
+            y0 = _first_from(max(t + 1, self.u_min), p + 1, n)
+            return ((y0 + 1, None),)
+        return ()
 
     def left_locus(self) -> IntRegion:
         return IntRegion.empty()
@@ -127,22 +151,23 @@ class Band:
     l_min: int
 
     kind = "band"
+    crossed_by = _crossed_by
+    members_in = _members_in
 
     def is_member(self, a: Arc, params: ModelParams) -> bool:
         return a.t <= self.k_max and a.u >= self.l_min
 
-    def crossed_by(self, a: Arc, params: ModelParams) -> bool:
+    def member_heads(self, t: int, n: int) -> Heads:
+        return ((max(self.l_min, t + 2), None),) if t <= self.k_max else ()
+
+    def crossed_heads(self, t: int, n: int) -> Heads:
         # Either a member pierces (t, u) from the left (its head lands in the
         # open interval, feet are free) or from the right (its foot lands in
         # the interval, heads are free).  Residues never obstruct: the free
         # endpoint absorbs the congruence.
-        return a.u > self.l_min or a.t < self.k_max
-
-    def members_in(self, lo: int, hi: int, params: ModelParams) -> Iterator[Arc]:
-        n = params.n
-        for k in range(lo, min(self.k_max, hi) + 1):
-            for u in _iter_residue(max(self.l_min, k + 2, lo), hi, k + 1, n):
-                yield Arc(k, u)
+        if t < self.k_max:
+            return ((t + 1, None),)
+        return ((self.l_min + 1, None),)
 
     def left_locus(self) -> IntRegion:
         return IntRegion.of(right_rays=[self.l_min])
@@ -158,21 +183,19 @@ class HalfLeft:
     p: int
 
     kind = "half_left"
+    crossed_by = _crossed_by
+    members_in = _members_in
 
     def is_member(self, a: Arc, params: ModelParams) -> bool:
         return a.u <= self.p
 
-    def crossed_by(self, a: Arc, params: ModelParams) -> bool:
+    def member_heads(self, t: int, n: int) -> Heads:
+        return ((t + 2, self.p),) if t + 2 <= self.p else ()
+
+    def crossed_heads(self, t: int, n: int) -> Heads:
         # Any arc whose left endpoint lies below p is pierced by a member
         # ending just inside it; everything else sits fully to the right.
-        return a.t < self.p
-
-    def members_in(self, lo: int, hi: int, params: ModelParams) -> Iterator[Arc]:
-        n = params.n
-        top = min(self.p, hi)
-        for t in range(lo, top + 1):
-            for u in _iter_residue(t + 2, top, t + 1, n):
-                yield Arc(t, u)
+        return ((t + 1, None),) if t < self.p else ()
 
     def left_locus(self) -> IntRegion:
         return IntRegion.of(left_rays=[self.p])
@@ -188,18 +211,17 @@ class HalfRight:
     q: int
 
     kind = "half_right"
+    crossed_by = _crossed_by
+    members_in = _members_in
 
     def is_member(self, a: Arc, params: ModelParams) -> bool:
         return a.t >= self.q
 
-    def crossed_by(self, a: Arc, params: ModelParams) -> bool:
-        return a.u > self.q
+    def member_heads(self, t: int, n: int) -> Heads:
+        return ((t + 2, None),) if t >= self.q else ()
 
-    def members_in(self, lo: int, hi: int, params: ModelParams) -> Iterator[Arc]:
-        n = params.n
-        for t in range(max(self.q, lo), hi + 1):
-            for u in _iter_residue(t + 2, hi, t + 1, n):
-                yield Arc(t, u)
+    def crossed_heads(self, t: int, n: int) -> Heads:
+        return ((self.q + 1, None),)
 
     def left_locus(self) -> IntRegion:
         return IntRegion.empty()
@@ -211,20 +233,16 @@ class HalfRight:
 Family = Union[LeftFan, RightFan, Band, HalfLeft, HalfRight]
 
 _KINDS = {cls.kind: cls for cls in (LeftFan, RightFan, Band, HalfLeft, HalfRight)}
-_FIELDS = {
-    "left_fan": ("p", "s_max"),
-    "right_fan": ("p", "u_min"),
-    "band": ("k_max", "l_min"),
-    "half_left": ("p",),
-    "half_right": ("q",),
-}
+_FIELDS = {kind: tuple(f.name for f in fields(cls)) for kind, cls in _KINDS.items()}
+
+
+def family_scalars(f: Family) -> list[int]:
+    """The integers defining ``f``, in field order."""
+    return [getattr(f, name) for name in _FIELDS[f.kind]]
 
 
 def family_to_json(f: Family) -> dict:
-    d: dict = {"kind": f.kind}
-    for name in _FIELDS[f.kind]:
-        d[name] = getattr(f, name)
-    return d
+    return {"kind": f.kind, **{name: getattr(f, name) for name in _FIELDS[f.kind]}}
 
 
 def family_from_json(d: dict, locus: str = "family") -> Family:
@@ -233,12 +251,12 @@ def family_from_json(d: dict, locus: str = "family") -> Family:
     kind = d["kind"]
     if kind not in _KINDS:
         raise ValidationError(f"{locus}: unknown family kind {kind!r}")
-    fields = _FIELDS[kind]
-    extra = set(d) - set(fields) - {"kind"}
+    names = _FIELDS[kind]
+    extra = set(d) - set(names) - {"kind"}
     if extra:
         raise ValidationError(f"{locus}: unexpected fields {sorted(extra)}")
     args = []
-    for name in fields:
+    for name in names:
         if name not in d:
             raise ValidationError(f"{locus}: missing field {name!r}")
         v = d[name]

@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedFamilyGeometry,
     WindowTooSmall,
 )
-from .families import Band, Family, HalfLeft, HalfRight, LeftFan, RightFan
+from .families import Band, Family, HalfLeft, HalfRight, LeftFan, RightFan, family_scalars
 from .homs import ExtTriangle, ext_triangle
 
 __all__ = [
@@ -260,25 +260,13 @@ def _rotate_family(fam: Family, d: DividerSet) -> tuple[list[Arc], list[Family]]
     raise UnsupportedFamilyGeometry(f"no rotation rule for family {fam!r}")
 
 
-def _family_scalars(fam: Family) -> list[int]:
-    if isinstance(fam, LeftFan):
-        return [fam.p, fam.s_max]
-    if isinstance(fam, RightFan):
-        return [fam.p, fam.u_min]
-    if isinstance(fam, Band):
-        return [fam.k_max, fam.l_min]
-    if isinstance(fam, HalfLeft):
-        return [fam.p]
-    return [fam.q]
-
-
 def _validate_rotation(x: ArcSet, d: DividerSet, result: ArcSet) -> None:
     """Compare the symbolic result with pointwise rotation on a window."""
     feats = d.endpoints() + [e for a in x.explicit for e in a]
     for fam in x.families:
-        feats += _family_scalars(fam)
+        feats += family_scalars(fam)
     for fam in result.families:
-        feats += _family_scalars(fam)
+        feats += family_scalars(fam)
     if not feats:
         return
     pad = d.span() + 2 * (d.params.n + 2) + 4
@@ -318,7 +306,7 @@ def rotate_set(x: ArcSet, d: DividerSet) -> ArcSet:
     result = ArcSet(
         x.params,
         frozenset(images) | d.arcs,
-        tuple(sorted(set(fams), key=lambda f: (f.kind, _family_scalars(f)))),
+        tuple(sorted(set(fams), key=lambda f: (f.kind, family_scalars(f)))),
     )
     if x.families:
         _validate_rotation(x, d, result)

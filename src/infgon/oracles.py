@@ -2,9 +2,10 @@
 
 Everything here recomputes claims by exhaustion or replays them through an
 independent route: crossing versus extension vanishing, the Calabi-Yau
-dimension dualities, rotation steps versus the explicit cell walk, and the
-rotation-versus-triangle agreement.  The library is only trusted as far as
-these sweeps stay empty.
+dimension dualities, rotation steps versus the explicit cell walk, the
+rotation-versus-triangle agreement, and the window listings of
+:mod:`infgon.arcsets` versus candidate-by-candidate filtering.  The library
+is only trusted as far as these sweeps stay empty.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import random
 from dataclasses import dataclass, field
 
 from .arcs import Arc, ModelParams, cross, is_admissible, serre, shift
-from .arcsets import Window, admissible_arcs_in
+from .arcsets import ArcSet, Window, admissible_arcs_in, crosses_set
 from .cellwalk import walk_predecessor, walk_successor
 from .errors import TriangleMismatch
+from .families import Band, HalfLeft, HalfRight, LeftFan, RightFan, family_scalars
 from .homs import ext1_case, hom_dim
 from .mutation import (
     DividerSet,
@@ -30,6 +32,8 @@ __all__ = [
     "FuzzReport",
     "cross_ext_mismatches",
     "hom_serre_mismatches",
+    "members_in_window_brute",
+    "nc_window_brute",
     "random_divider_case",
     "random_finite_arcs",
     "run_mutation_fuzz",
@@ -84,6 +88,45 @@ def hom_serre_mismatches(p: ModelParams, lo: int, hi: int) -> list[tuple[Arc, Ar
             if hom_dim(x, y, p) != hom_dim(y, sx, p):
                 bad.append((x, y))
     return bad
+
+
+def members_in_window_brute(s: ArcSet, w: Window) -> list[Arc]:
+    """Frozen reference for ``members_in_window``: every admissible arc of
+    the window, kept when it is explicit or some family's ``is_member``
+    accepts it."""
+    p = s.params
+    return [
+        a
+        for a in admissible_arcs_in(w, p)
+        if a in s.explicit or any(f.is_member(a, p) for f in s.families)
+    ]
+
+
+def nc_window_brute(s: ArcSet, w: Window) -> list[Arc]:
+    """Frozen reference for ``nc_window``: every admissible arc of the window
+    that crosses no member of ``s``.
+
+    The members are enumerated on the hull of the window, the explicit
+    endpoints and the family scalars, padded by n + 2: a member crossing an
+    arc of the window can be moved inside that hull, keeping its residue and
+    the crossing (one period fixes the residue, two more the least span).
+    Only members with an endpoint strictly inside the window can cross one
+    of its arcs.
+    """
+    p = s.params
+    pts = [w.lo, w.hi]
+    for a in s.explicit:
+        pts += a
+    for f in s.families:
+        pts += family_scalars(f)
+    pad = p.n + 2
+    hull = Window(min(pts) - pad, max(pts) + pad)
+    members = [
+        m
+        for m in members_in_window_brute(s, hull)
+        if w.lo < m.t < w.hi or w.lo < m.u < w.hi
+    ]
+    return [a for a in admissible_arcs_in(w, p) if not any(cross(a, m) for m in members)]
 
 
 def _random_admissible(rng: random.Random, n: int, lo: int, hi: int) -> Arc | None:
@@ -146,8 +189,6 @@ def random_divider_case(
 
 
 def _random_family(rng: random.Random, lo: int = -15, hi: int = 15):
-    from .families import Band, HalfLeft, HalfRight, LeftFan, RightFan
-
     kind = rng.randint(0, 4)
     a, b = rng.randint(lo, hi), rng.randint(lo, hi)
     if kind == 0:
@@ -167,8 +208,6 @@ def random_family_rotation_case(rng: random.Random):
     The divider arcs are members of the set and cross nothing in it, so the
     pair is a valid input for set rotation.
     """
-    from .arcsets import ArcSet, crosses_set
-
     while True:
         n = rng.choice((1, 2, 3, 4))
         p = ModelParams(n)

@@ -1,3 +1,6 @@
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from infgon import (
     Arc,
     ArcSet,
     Band,
+    DividerSet,
     HalfLeft,
     HalfRight,
     LeftFan,
@@ -24,9 +28,18 @@ from infgon import (
     is_admissible,
     is_ptolemy_window,
     members_in_window,
+    mutate_pair,
     nc_window,
+    parse_document,
 )
 from infgon.errors import NonAdmissible, UnsupportedFamilies
+from infgon.families import family_scalars
+from infgon.oracles import (
+    members_in_window_brute,
+    nc_window_brute,
+    random_family_rotation_case,
+    random_finite_arcs,
+)
 
 from conftest import admissible_arcs
 
@@ -184,3 +197,68 @@ def test_frame_is_pairwise_non_crossing(arcs):
     for i, a in enumerate(fr):
         for b in fr[i + 1 :]:
             assert not cross(a, b)
+
+
+# --- the per-foot sweep against the frozen brute-force references -----------
+
+windows = st.tuples(st.integers(-30, 25), st.integers(1, 45)).map(
+    lambda lw: Window(lw[0], lw[0] + lw[1])
+)
+
+
+def covering(s: ArcSet) -> Window:
+    """A window holding every explicit endpoint and family scalar of ``s``."""
+    pts = [e for a in s.explicit for e in a]
+    for f in s.families:
+        pts += family_scalars(f)
+    pad = s.params.n + 2
+    return Window(min(pts) - pad, max(pts) + pad)
+
+
+def assert_sweep_matches_brute(s: ArcSet, w: Window) -> None:
+    assert nc_window(s, w) == nc_window_brute(s, w)
+    assert members_in_window(s, w) == members_in_window_brute(s, w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@given(seed=st.integers(0, 2**32 - 1), w=windows)
+@settings(max_examples=25, deadline=None)
+def test_sweep_matches_brute_on_family_sets(n, seed, w):
+    rng = random.Random(seed)
+    while True:
+        p, s, _ = random_family_rotation_case(rng)
+        if p.n == n:
+            break
+    assert_sweep_matches_brute(s, w)
+    assert_sweep_matches_brute(s, covering(s))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), w=windows)
+@settings(max_examples=60, deadline=None)
+def test_sweep_matches_brute_on_finite_sets(seed, n, w):
+    p = ModelParams(n)
+    s = ArcSet.of(p, random_finite_arcs(random.Random(seed), p, 10, -15, 15))
+    assert_sweep_matches_brute(s, w)
+    assert_sweep_matches_brute(s, covering(s))
+
+
+@pytest.fixture(scope="module")
+def mutated_demo_pair():
+    """The demo pair after three rotation steps: hundreds of explicit arcs."""
+    demo = Path(__file__).resolve().parent.parent / "demos" / "example_sets.json"
+    doc = parse_document(demo.read_bytes())
+    d = DividerSet(doc.params, doc.sets["D"].explicit)
+    x, y, w = doc.sets["X"], doc.sets["Ync"], Window(-80, 80)
+    for _ in range(3):
+        x, y, rep = mutate_pair(x, y, d, w)
+        assert rep.verdict
+        w = w.shrink(d.span() + 1)
+    return x, y
+
+
+def test_sweep_matches_brute_on_mutated_demo_pair(mutated_demo_pair):
+    x, y = mutated_demo_pair
+    assert len(y.explicit) >= 100
+    for s in (x, y):
+        for w in (covering(s), Window(-80, 80), Window(-75, -40), Window(20, 90)):
+            assert_sweep_matches_brute(s, w)

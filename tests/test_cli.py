@@ -235,3 +235,41 @@ def test_out_file(capsys, tmp_path):
     report = json.loads(target.read_text())
     jsonschema.validate(report, REPORT_SCHEMA)
     assert report["result"] == 1
+
+
+def assert_input_error(code: int, err: str) -> None:
+    """Exit 2 with one ``infgon: error:`` line and no traceback."""
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("infgon: error: "), err
+
+
+def test_reversed_window_is_an_input_error(capsys):
+    code, out, err = run(capsys, "nc", "--input", EXAMPLE, "--set", "X", "--window", "5..1")
+    assert_input_error(code, err)
+    assert out == "" and "5..1" in err
+
+
+def test_nonpositive_modulus_is_an_input_error(capsys):
+    code, out, err = run(capsys, "ext", "--n", "0", "--arcs", "(2,9) (-1,6)", "--degree", "1")
+    assert_input_error(code, err)
+    assert out == "" and "--n" in err
+
+
+def test_malformed_input_with_modulus_override_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{broken")
+    code, out, err = run(
+        capsys, "nc", "--n", "3", "--input", str(bad), "--set", "X", "--window", "-5..5"
+    )
+    assert_input_error(code, err)
+    assert out == "" and "JSON" in err
+
+
+def test_malformed_input_for_ext_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{broken")
+    code, out, err = run(
+        capsys, "ext", "--input", str(bad), "--arcs", "(2,9) (-1,6)", "--degree", "1"
+    )
+    assert_input_error(code, err)
+    assert out == "" and "JSON" in err

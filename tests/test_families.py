@@ -10,6 +10,8 @@ from infgon import (
     LeftFan,
     ModelParams,
     RightFan,
+    Window,
+    admissible_arcs_in,
     cross,
     is_admissible,
 )
@@ -63,6 +65,23 @@ def test_membership_matches_enumeration(case):
     p = ModelParams(n)
     enumerated = set(fam.members_in(a.t - 1, a.u + 1, p))
     assert fam.is_member(a, p) == (a in enumerated)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), families)))
+@settings(max_examples=200)
+def test_member_heads_match_is_member_filtering(case):
+    n, fam = case
+    p = ModelParams(n)
+    w = Window(-20, 20)
+    arcs = list(admissible_arcs_in(w, p))
+    for t in range(w.lo, w.hi - 1):
+        heads = fam.member_heads(t, n)
+        got = [
+            u
+            for u in range(t + n + 1, w.hi + 1, n)
+            if any(a <= u and (b is None or u <= b) for a, b in heads)
+        ]
+        assert got == [a.u for a in arcs if a.t == t and fam.is_member(a, p)]
 
 
 def test_members_are_admissible_and_in_window():
