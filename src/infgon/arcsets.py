@@ -9,7 +9,9 @@ The two listings, :func:`nc_window` and :func:`members_in_window`, are one
 sweep over the feet ``t`` of the window.  For a fixed foot every constraint
 is an interval of heads ``u``: an explicit arc ``(r, v)`` blocks ``u > v``
 when ``r < t < v`` and ``r < u < v`` when ``t < r``, and each family states
-its blocked and member heads per foot (see :mod:`infgon.families`).  Merging
+its blocked and member heads per foot (see :mod:`infgon.families`).
+``members_in_window`` visits each family only on its foot interval
+(``member_feet``): a right fan costs one foot, not the whole window.  Merging
 the intervals and stepping through the admissible heads costs
 O(W * (m + f) + output) for window width W, m explicit arcs and f families,
 against O(W^2 / n * (m + f)) for testing every candidate arc.  The
@@ -125,17 +127,23 @@ _make = tuple.__new__
 
 def members_in_window(s: ArcSet, w: Window) -> list[Arc]:
     """Members of ``s`` with both endpoints in ``w``, sorted, deduplicated."""
-    n, hi, fams = s.params.n, w.hi, s.families
-    explicit: dict[int, list[tuple[int, int]]] = {}
+    n, lo, hi = s.params.n, w.lo, w.hi
+    last = hi - 2  # the last foot with a head in the window
+    per_foot: list[list[tuple[int, int]]] = [[] for _ in range(lo, last + 1)]
     for r, v in s.explicit:
-        if w.lo <= r and v <= hi:
-            explicit.setdefault(r, []).append((v, v))
-    out: list[Arc] = []
-    for t in range(w.lo, hi - 1):
-        heads = list(explicit.get(t, ()))
-        for f in fams:
+        if lo <= r and v <= hi:
+            per_foot[r - lo].append((v, v))
+    for f in s.families:  # each family visits only the feet it has members on
+        first, stop = f.member_feet()
+        first = lo if first is None else max(first, lo)
+        stop = last if stop is None else min(stop, last)
+        for t in range(first, stop + 1):
             for a, b in f.member_heads(t, n):
-                heads.append((a, hi if b is None or b > hi else b))
+                per_foot[t - lo].append((a, hi if b is None or b > hi else b))
+    out: list[Arc] = []
+    for t, heads in enumerate(per_foot, lo):
+        if not heads:
+            continue
         heads.sort()
         u = t + n + 1
         for a, b in heads:

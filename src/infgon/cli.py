@@ -27,7 +27,7 @@ from .arcsets import (
 )
 from .cotorsion import PairReport, check_pair, core
 from .documents import Document, arcset_to_json, parse_document
-from .errors import InfgonError
+from .errors import InfgonError, PairCheckFailed
 from .homs import ext_dim, hom_dim
 from .mutation import DividerSet, mutate_pair
 from .oracles import (
@@ -295,7 +295,12 @@ def _cmd_mutate(args) -> int:
         raise InfgonError(f"divider set {args.d!r} must be finite (no families)")
     d = DividerSet(doc.params, d_set.explicit)
     w = _parse_window(args.window)
-    x2, y2, rep = mutate_pair(x, y, d, w, force=args.force)
+    try:
+        x2, y2, rep = mutate_pair(x, y, d, w, force=args.force)
+    except PairCheckFailed as exc:
+        raise InfgonError(
+            "pair fails its verification report; pass --force to mutate anyway"
+        ) from exc
     shrunk = w.shrink(d.span() + 1)
     out.text(f"rotated {args.x} on [{shrunk.lo}, {shrunk.hi}]:")
     for a in members_in_window(x2, shrunk):

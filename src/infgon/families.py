@@ -15,12 +15,21 @@ Each kind states its geometry once, per foot.  For a fixed left endpoint
 some member crosses.  Both are tuples of closed intervals ``(a, b)``, with
 ``b = None`` for ``[a, inf)``; they ignore admissibility, which the caller
 imposes by stepping through the heads ``u = t + 1 (mod n)`` from ``t + n + 1``
-on.  ``crossed_by`` and ``members_in`` are thin wrappers over them, and the
-closure sweeps in :mod:`infgon.arcsets` read them directly.  ``is_member``
-stays a direct test, so the brute-force references in :mod:`infgon.oracles`
-do not depend on the per-foot methods.  Each kind also gives its fountain-locus
-contribution, and every predicate is pinned against brute enumeration in the
-test suite.
+on.  ``member_feet()`` gives the closed interval of feet outside which
+``member_heads`` is empty (``None`` for an unbounded end):
+
+* ``RightFan``: ``[p, p]``;
+* ``LeftFan``: ``(-inf, min(s_max, p - 2)]``;
+* ``Band``: ``(-inf, k_max]``;
+* ``HalfLeft``: ``(-inf, p - 2]``;
+* ``HalfRight``: ``[q, inf)``.
+
+``crossed_by`` and ``members_in`` are thin wrappers over the per-foot
+methods, and the closure sweeps in :mod:`infgon.arcsets` read them directly.
+``is_member`` stays a direct test, so the brute-force references in
+:mod:`infgon.oracles` do not depend on the per-foot methods.  Each kind also
+gives its fountain-locus contribution, and every predicate is pinned against
+brute enumeration in the test suite.
 """
 
 from __future__ import annotations
@@ -46,6 +55,8 @@ __all__ = [
 
 # closed head intervals (a, b) for one foot; b is None for [a, inf)
 Heads = tuple[tuple[int, int | None], ...]
+# closed foot interval (a, b) outside which member_heads is empty; None is unbounded
+Feet = tuple[int | None, int | None]
 
 
 def _first_from(lo: int, target: int, n: int) -> int:
@@ -85,6 +96,9 @@ class LeftFan:
     def is_member(self, a: Arc, params: ModelParams) -> bool:
         return a.u == self.p and a.t <= self.s_max
 
+    def member_feet(self) -> Feet:
+        return None, min(self.s_max, self.p - 2)
+
     def member_heads(self, t: int, n: int) -> Heads:
         if t <= min(self.s_max, self.p - 2) and (self.p - 1 - t) % n == 0:
             return ((self.p, self.p),)
@@ -122,6 +136,9 @@ class RightFan:
     def is_member(self, a: Arc, params: ModelParams) -> bool:
         return a.t == self.p and a.u >= self.u_min
 
+    def member_feet(self) -> Feet:
+        return self.p, self.p
+
     def member_heads(self, t: int, n: int) -> Heads:
         return ((max(self.u_min, t + 2), None),) if t == self.p else ()
 
@@ -157,6 +174,9 @@ class Band:
     def is_member(self, a: Arc, params: ModelParams) -> bool:
         return a.t <= self.k_max and a.u >= self.l_min
 
+    def member_feet(self) -> Feet:
+        return None, self.k_max
+
     def member_heads(self, t: int, n: int) -> Heads:
         return ((max(self.l_min, t + 2), None),) if t <= self.k_max else ()
 
@@ -189,6 +209,9 @@ class HalfLeft:
     def is_member(self, a: Arc, params: ModelParams) -> bool:
         return a.u <= self.p
 
+    def member_feet(self) -> Feet:
+        return None, self.p - 2
+
     def member_heads(self, t: int, n: int) -> Heads:
         return ((t + 2, self.p),) if t + 2 <= self.p else ()
 
@@ -216,6 +239,9 @@ class HalfRight:
 
     def is_member(self, a: Arc, params: ModelParams) -> bool:
         return a.t >= self.q
+
+    def member_feet(self) -> Feet:
+        return self.q, None
 
     def member_heads(self, t: int, n: int) -> Heads:
         return ((t + 2, None),) if t >= self.q else ()

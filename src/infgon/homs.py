@@ -9,9 +9,9 @@ and ``y = (t, u)`` is nonzero in exactly two situations,
 
 Higher degrees and plain Hom reduce to this via ``Ext^i(x, y) =
 Ext^1(x, shift(y, i - 1))`` and ``Hom(x, y) = Ext^1(x, shift(y, -1))``.
-The two condition sets are mutually exclusive for every n >= 1 (their
-``t``-inequalities conflict), but a ``both`` flag is reported anyway so tests
-can detect an overlap if one ever appeared.
+The two condition sets are mutually exclusive for every n >= 1: the first
+needs ``t <= r - n`` and the second ``t >= r + 1``.  The test suite checks
+this directly.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class ExtKind(enum.Enum):
 @dataclass(frozen=True)
 class ExtCase:
     kind: ExtKind
-    both: bool = False
 
     @property
     def nonzero(self) -> bool:
@@ -52,7 +51,6 @@ class ExtCase:
 
 _ZERO = ExtCase(ExtKind.ZERO)
 _SAME = ExtCase(ExtKind.SAME_COMPONENT)
-_SAME_BOTH = ExtCase(ExtKind.SAME_COMPONENT, both=True)
 _NEXT = ExtCase(ExtKind.NEXT_COMPONENT)
 
 
@@ -63,11 +61,9 @@ def ext1_case(x: Arc, y: Arc, p: ModelParams) -> ExtCase:
     n = p.n
     r, s = x
     t, u = y
-    same = (u - s) % n == 0 and t <= r - n and r + 1 <= u <= s - n
-    nxt = (u - s - 1) % n == 0 and r + 1 <= t <= s - n and s + 1 <= u
-    if same:
-        return _SAME_BOTH if nxt else _SAME
-    if nxt:
+    if (u - s) % n == 0 and t <= r - n and r + 1 <= u <= s - n:
+        return _SAME
+    if (u - s - 1) % n == 0 and r + 1 <= t <= s - n and s + 1 <= u:
         return _NEXT
     return _ZERO
 

@@ -13,24 +13,41 @@ for an endpoint ``v`` of arc ``a`` is:
 3. else return ``v - 1``.
 
 The forward step (successor) mirrors this.  Both rules are verified against
-the explicit boundary-walk oracle in :mod:`infgon.cellwalk`.  Rotation
-provably preserves admissibility and divider compatibility; violations are
+the explicit boundary-walk oracle in :mod:`infgon.cellwalk`.
+
+The steps read an index that :class:`DividerSet` builds once, at
+construction: the sorted heads of the divider arcs starting at each divider
+endpoint and the sorted feet of those ending there.  Rules 1 and 2 are then
+one bisection each, and an endpoint outside the index takes rule 3 at once.
+
+Every rotation goes through one kernel, :func:`_rotate_all`, which works on
+``(t, u)`` integer pairs: :func:`rotate_arc` and :func:`rotate_arc_inverse`
+call it with one arc, :func:`rotate_set` with the explicit arcs and the fan
+members near the dividers, and the validation of the family rotation with
+every member on its window.  For each arc the kernel checks that the
+preimage is admissible (``NonAdmissible``), is not a divider and crosses no
+divider (``IncompatibleArc``), and that the image is admissible and crosses
+no divider (``NonAdmissibleImage``).  Rotation provably preserves
+admissibility and divider compatibility, so the image checks guard against
 internal errors, never recoverable conditions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
-from .arcs import Arc, ModelParams, cross, is_admissible, normalize, require_admissible
-from .arcsets import ArcSet, Window, contains, crosses_set, members_in_window
+from .arcs import Arc, ModelParams, cross, require_admissible
+from .arcsets import ArcSet, Window, _make, contains, crosses_set, members_in_window
 from .cotorsion import PairReport, check_pair, core
 from .errors import (
+    DegeneratePair,
     DNotInCore,
     DNotInFrame,
     IncompatibleArc,
     NoExtension,
+    NonAdmissible,
     NonAdmissibleImage,
     PairCheckFailed,
     TriangleMismatch,
@@ -55,10 +72,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DividerSet:
-    """Finite set of pairwise non-crossing admissible arcs."""
+    """Finite set of pairwise non-crossing admissible arcs.
+
+    Construction also builds the index the rotation steps read: for each
+    divider endpoint v, the sorted heads of the arcs starting at v and the
+    sorted feet of the arcs ending at v.  The index is derived from ``arcs``
+    and takes no part in equality, hashing or ``repr``.
+    """
 
     params: ModelParams
     arcs: frozenset[Arc]
+    _starts: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _ends: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for a in self.arcs:
@@ -68,92 +93,125 @@ class DividerSet:
             for b in items[i + 1 :]:
                 if cross(a, b):
                     raise IncompatibleArc(f"divider arcs {a} and {b} cross")
+        starts: dict[int, list[int]] = {}
+        ends: dict[int, list[int]] = {}
+        for t, u in items:  # sorted, so every list below is sorted too
+            starts.setdefault(t, []).append(u)
+            ends.setdefault(u, []).append(t)
+        object.__setattr__(self, "_starts", {v: tuple(us) for v, us in starts.items()})
+        object.__setattr__(self, "_ends", {v: tuple(ts) for v, ts in ends.items()})
 
     @staticmethod
     def of(params: ModelParams, arcs: Iterable[Arc]) -> "DividerSet":
         return DividerSet(params, frozenset(arcs))
 
     def endpoints(self) -> list[int]:
-        return sorted({e for a in self.arcs for e in a})
+        return sorted(self._starts.keys() | self._ends.keys())
 
     def span(self) -> int:
         pts = self.endpoints()
         return pts[-1] - pts[0] if pts else 0
 
     def starts_at(self, v: int) -> list[int]:
-        return sorted(a.u for a in self.arcs if a.t == v)
+        return list(self._starts.get(v, ()))
 
     def ends_at(self, v: int) -> list[int]:
-        return sorted(a.t for a in self.arcs if a.u == v)
-
-
-def _check_compatible(a: Arc, d: DividerSet) -> None:
-    require_admissible(a, d.params)
-    if a in d.arcs:
-        raise IncompatibleArc(f"{a} is a divider arc; dividers are fixed, not rotated")
-    for b in d.arcs:
-        if cross(a, b):
-            raise IncompatibleArc(f"{a} crosses divider arc {b}")
+        return list(self._ends.get(v, ()))
 
 
 def _pred(v: int, other: int, d: DividerSet) -> int:
     if other > v:
-        wraps = [r for r in d.starts_at(v) if other <= r]
-        if wraps:
-            return min(wraps)
-    jumps = [q for q in d.ends_at(v) if other <= q or other >= v]
-    if jumps:
-        return min(jumps)
+        heads = d._starts.get(v)
+        if heads:  # innermost divider (v, r) enclosing the arc: least r >= other
+            i = bisect_left(heads, other)
+            if i < len(heads):
+                return heads[i]
+    feet = d._ends.get(v)
+    if feet:  # outermost divider (q, v) the arc is outside of: least such q
+        i = 0 if other > v else bisect_left(feet, other)
+        if i < len(feet):
+            return feet[i]
     return v - 1
 
 
 def _succ(v: int, other: int, d: DividerSet) -> int:
     if other < v:
-        wraps = [q for q in d.ends_at(v) if q <= other]
-        if wraps:
-            return max(wraps)
-    jumps = [r for r in d.starts_at(v) if other >= r or other <= v]
-    if jumps:
-        return max(jumps)
+        feet = d._ends.get(v)
+        if feet:  # innermost divider (q, v) enclosing the arc: greatest q <= other
+            i = bisect_right(feet, other)
+            if i:
+                return feet[i - 1]
+    heads = d._starts.get(v)
+    if heads:  # outermost divider (v, r) the arc is outside of: greatest such r
+        i = len(heads) if other < v else bisect_right(heads, other)
+        if i:
+            return heads[i - 1]
     return v + 1
+
+
+def _rotate_all(
+    arcs: Iterable[tuple[int, int]], d: DividerSet, step: Callable[[int, int, DividerSet], int]
+) -> list[Arc]:
+    """Rotate each arc ``(t, u)`` one step along its cell: the rotation kernel.
+
+    ``step`` is :func:`_pred` (backward) or :func:`_succ` (forward).  Every
+    preimage is checked to be admissible, not a divider and crossing no
+    divider; every image to be admissible and crossing no divider.  The
+    images are built with ``tuple.__new__`` once those checks pass.
+    """
+    n = d.params.n
+    r1 = 1 % n
+    divs = d.arcs
+    out = []
+    for t, u in arcs:
+        if u - t < 2 or (u - t) % n != r1:
+            raise NonAdmissible(f"({t},{u}) is not admissible for n={n}")
+        if (t, u) in divs:
+            raise IncompatibleArc(f"({t},{u}) is a divider arc; dividers are fixed, not rotated")
+        for b in divs:
+            q, r = b
+            if q < t < r < u or t < q < u < r:
+                raise IncompatibleArc(f"({t},{u}) crosses divider arc {b}")
+        et, eu = step(t, u, d), step(u, t, d)
+        if et > eu:
+            et, eu = eu, et
+        elif et == eu:
+            raise DegeneratePair(f"degenerate pair ({et}, {eu})")
+        if eu - et < 2 or (eu - et) % n != r1:
+            raise NonAdmissibleImage(f"rotation rule bug: ({t},{u}) -> ({et},{eu}) for n={n}")
+        for b in divs:
+            q, r = b
+            if q < et < r < eu or et < q < eu < r:
+                raise NonAdmissibleImage(f"rotation rule bug: image ({et},{eu}) crosses {b}")
+        out.append(_make(Arc, (et, eu)))
+    return out
+
+
+def _step(v: int, a: Arc, d: DividerSet, step: Callable[[int, int, DividerSet], int]) -> int:
+    if v not in a:
+        raise IncompatibleArc(f"{v} is not an endpoint of {a}")
+    _rotate_all((a,), d, step)  # the kernel's checks on ``a`` and its image
+    return step(v, a.u if v == a.t else a.t, d)
 
 
 def predecessor(v: int, a: Arc, d: DividerSet) -> int:
     """One step backward along the boundary of the cell holding ``a``."""
-    if v not in a:
-        raise IncompatibleArc(f"{v} is not an endpoint of {a}")
-    _check_compatible(a, d)
-    return _pred(v, a.u if v == a.t else a.t, d)
+    return _step(v, a, d, _pred)
 
 
 def successor(v: int, a: Arc, d: DividerSet) -> int:
     """One step forward along the boundary of the cell holding ``a``."""
-    if v not in a:
-        raise IncompatibleArc(f"{v} is not an endpoint of {a}")
-    _check_compatible(a, d)
-    return _succ(v, a.u if v == a.t else a.t, d)
-
-
-def _finish(a: Arc, d: DividerSet, et: int, eu: int) -> Arc:
-    image = normalize(et, eu)
-    if not is_admissible(image, d.params):
-        raise NonAdmissibleImage(f"rotation rule bug: {a} -> {image} for n={d.params.n}")
-    for b in d.arcs:
-        if cross(image, b):
-            raise NonAdmissibleImage(f"rotation rule bug: image {image} crosses {b}")
-    return image
+    return _step(v, a, d, _succ)
 
 
 def rotate_arc(a: Arc, d: DividerSet) -> Arc:
     """Backward rotation of ``a`` in its cell."""
-    _check_compatible(a, d)
-    return _finish(a, d, _pred(a.t, a.u, d), _pred(a.u, a.t, d))
+    return _rotate_all((a,), d, _pred)[0]
 
 
 def rotate_arc_inverse(a: Arc, d: DividerSet) -> Arc:
     """Forward rotation; inverse of :func:`rotate_arc` on compatible arcs."""
-    _check_compatible(a, d)
-    return _finish(a, d, _succ(a.t, a.u, d), _succ(a.u, a.t, d))
+    return _rotate_all((a,), d, _succ)[0]
 
 
 # --- symbolic family rotation -------------------------------------------------
@@ -163,12 +221,6 @@ def rotate_arc_inverse(a: Arc, d: DividerSet) -> Arc:
 # Each kind is split into finitely many explicit arcs near the dividers plus
 # residual families whose members rotate uniformly; the split is exact and is
 # additionally checked against pointwise rotation on a validation window.
-
-
-def _stable_pred(anchor: int, d: DividerSet) -> int:
-    """Predecessor of a fan anchor once the ranging endpoint is beyond D."""
-    ends = d.ends_at(anchor)
-    return min(ends) if ends else anchor - 1
 
 
 def _fan_values(first: int, last: int, n: int) -> range:
@@ -185,12 +237,9 @@ def _rotate_right_fan(
     if not pts:
         return [], [RightFan(p - 1, u_min - 1)]
     top = max(max(pts), eff - 1) + n + 2
-    images = []
-    for u in _fan_values(eff, top, n):
-        arc = Arc(p, u)
-        if arc not in d.arcs:
-            images.append(rotate_arc(arc, d))
-    return images, [RightFan(_stable_pred(p, d), top)]
+    members = ((p, u) for u in _fan_values(eff, top, n) if (p, u) not in d.arcs)
+    # beyond top, every member's anchor steps as the anchor of (p, top) does
+    return _rotate_all(members, d, _pred), [RightFan(_pred(p, top, d), top)]
 
 
 def _rotate_left_fan(
@@ -202,12 +251,10 @@ def _rotate_left_fan(
     if not pts:
         return [], [LeftFan(p - 1, s_max - 1)]
     bottom = min(min(pts), eff + 1) - n - 2
-    images = []
-    for s in _fan_values(bottom + (eff - bottom) % n, eff, n):
-        arc = Arc(s, p)
-        if arc not in d.arcs:
-            images.append(rotate_arc(arc, d))
-    return images, [LeftFan(_stable_pred(p, d), bottom - 2)]
+    feet = _fan_values(bottom + (eff - bottom) % n, eff, n)
+    members = ((s, p) for s in feet if (s, p) not in d.arcs)
+    # below bottom, every member's anchor steps as the anchor of (bottom, p) does
+    return _rotate_all(members, d, _pred), [LeftFan(_pred(p, bottom, d), bottom - 2)]
 
 
 def _rotate_family(fam: Family, d: DividerSet) -> tuple[list[Arc], list[Family]]:
@@ -272,9 +319,8 @@ def _validate_rotation(x: ArcSet, d: DividerSet, result: ArcSet) -> None:
     pad = d.span() + 2 * (d.params.n + 2) + 4
     outer = Window(min(feats) - pad, max(feats) + pad)
     inner = outer.shrink(d.span() + 2)
-    expected = {
-        rotate_arc(m, d) for m in members_in_window(x, outer) if m not in d.arcs
-    } | d.arcs
+    members = (m for m in members_in_window(x, outer) if m not in d.arcs)
+    expected = set(_rotate_all(members, d, _pred)) | d.arcs
     expected_in = sorted(a for a in expected if inner.lo <= a.t and a.u <= inner.hi)
     actual_in = members_in_window(result, inner)
     if expected_in != actual_in:
@@ -297,7 +343,7 @@ def rotate_set(x: ArcSet, d: DividerSet) -> ArcSet:
             raise DNotInFrame(f"divider arc {b} is not a member of the set")
         if crosses_set(b, x):
             raise DNotInFrame(f"divider arc {b} crosses a member of the set")
-    images = {rotate_arc(a, d) for a in x.explicit if a not in d.arcs}
+    images = set(_rotate_all((a for a in x.explicit if a not in d.arcs), d, _pred))
     fams: list[Family] = []
     for fam in x.families:
         ims, fs = _rotate_family(fam, d)

@@ -262,3 +262,38 @@ def test_sweep_matches_brute_on_mutated_demo_pair(mutated_demo_pair):
     for s in (x, y):
         for w in (covering(s), Window(-80, 80), Window(-75, -40), Window(20, 90)):
             assert_sweep_matches_brute(s, w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_members_in_window_at_family_edges(n):
+    """Windows ending on or near a family's defining integers, where the
+    sweep clips each family's foot interval to the window."""
+    fams = [RightFan(0, 2), LeftFan(0, -2), Band(1, 3), HalfLeft(1), HalfRight(-1)]
+    for f in fams:
+        s = ArcSet.of(ModelParams(n), families=[f])
+        for v in family_scalars(f):
+            for lo in range(v - 4, v + 3):
+                for hi in range(max(lo + 1, v - 3), v + 5):
+                    w = Window(lo, hi)
+                    assert members_in_window(s, w) == members_in_window_brute(s, w), (f, w)
+
+
+@pytest.fixture(scope="module")
+def ten_step_demo_y():
+    """Y of the demo pair after ten rotation steps on a fixed window: 623
+    explicit arcs and 42 families, most of them fans."""
+    demo = Path(__file__).resolve().parent.parent / "demos" / "example_sets.json"
+    doc = parse_document(demo.read_bytes())
+    d = DividerSet(doc.params, doc.sets["D"].explicit)
+    x, y, w = doc.sets["X"], doc.sets["Ync"], Window(-80, 80)
+    for _ in range(10):
+        x, y, rep = mutate_pair(x, y, d, w)
+        assert rep.verdict
+    return y
+
+
+def test_members_in_window_matches_brute_after_ten_steps(ten_step_demo_y):
+    y = ten_step_demo_y
+    assert (len(y.explicit), len(y.families)) == (623, 42)
+    for w in (Window(-80, 80), Window(-30, 45)):
+        assert members_in_window(y, w) == members_in_window_brute(y, w)

@@ -109,6 +109,7 @@ def test_mutate_command(capsys):
         "--window", "-20..20",
     )
     assert code == 2 and "force" in err
+    assert "--force" in err and "force=True" not in err
     code, report = run_json(
         capsys,
         "mutate", "--input", EXAMPLE, "--x", "X", "--y", "Y", "--d", "D",

@@ -84,6 +84,29 @@ def test_member_heads_match_is_member_filtering(case):
         assert got == [a.u for a in arcs if a.t == t and fam.is_member(a, p)]
 
 
+def stated_feet(fam):
+    """Each kind's foot interval, as the families module states it."""
+    if isinstance(fam, RightFan):
+        return fam.p, fam.p
+    if isinstance(fam, LeftFan):
+        return None, min(fam.s_max, fam.p - 2)
+    if isinstance(fam, Band):
+        return None, fam.k_max
+    if isinstance(fam, HalfLeft):
+        return None, fam.p - 2
+    return fam.q, None
+
+
+@given(st.integers(1, 4), families)
+@settings(max_examples=300)
+def test_member_heads_empty_outside_foot_interval(n, fam):
+    assert fam.member_feet() == stated_feet(fam)
+    lo, hi = stated_feet(fam)
+    for t in range(-40, 41):
+        if (lo is not None and t < lo) or (hi is not None and t > hi):
+            assert fam.member_heads(t, n) == (), (fam, n, t)
+
+
 def test_members_are_admissible_and_in_window():
     for fam in (LeftFan(0, -3), RightFan(0, 4), Band(-2, 3), HalfLeft(1), HalfRight(-1)):
         members = list(fam.members_in(-15, 15, P3))

@@ -104,11 +104,29 @@ def test_ext_triangle_requires_extension():
 def test_case_split_is_exclusive_and_dims_bounded(case):
     n, x, y = case
     p = ModelParams(n)
-    res = ext1_case(x, y, p)
-    assert res.both is False  # the two t-inequalities can never hold together
     for i in range(1, n + 1):
         assert ext_dim(x, y, i, p) in (0, 1)
     assert hom_dim(x, y, p) in (0, 1)
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n), admissible_arcs(n, -10, 10, 6), admissible_arcs(n, -10, 10, 6)
+        )
+    )
+)
+@settings(max_examples=300)
+def test_same_and_next_component_conditions_never_overlap(case):
+    # The two Ext^1 conditions as the paper states them: their t-inequalities
+    # (t <= r - n against t >= r + 1) can never hold together.
+    n, (r, s), (t, u) = case
+    same = (u - s) % n == 0 and t <= r - n and r + 1 <= u <= s - n
+    nxt = (u - s - 1) % n == 0 and r + 1 <= t <= s - n and s + 1 <= u
+    assert not (same and nxt)
+    kind = ext1_case(Arc(r, s), Arc(t, u), ModelParams(n)).kind
+    assert (kind is ExtKind.SAME_COMPONENT) == same
+    assert (kind is ExtKind.NEXT_COMPONENT) == nxt
 
 
 @given(

@@ -13,6 +13,7 @@ from infgon import (
     ModelParams,
     RightFan,
     Window,
+    admissible_arcs_in,
     contains,
     cross,
     frame,
@@ -27,13 +28,16 @@ from infgon import (
     shift,
     successor,
 )
+from infgon.arcs import normalize
 from infgon.cellwalk import walk_predecessor, walk_successor
 from infgon.errors import (
     DNotInCore,
     DNotInFrame,
     IncompatibleArc,
+    NonAdmissible,
     PairCheckFailed,
 )
+from infgon.mutation import _pred, _rotate_all, _succ
 from infgon.oracles import (
     random_divider_case,
     random_family_rotation_case,
@@ -124,6 +128,74 @@ def test_cellwalk_matches_rules_spot():
         for v in a:
             assert predecessor(v, a, d) == walk_predecessor(v, a, d.arcs)
             assert successor(v, a, d) == walk_successor(v, a, d.arcs)
+
+
+def assert_kernel_matches_cellwalk(arcs: list[Arc], d: DividerSet) -> None:
+    """The batch kernel, both ways, against the explicit boundary walk."""
+    back = [
+        normalize(walk_predecessor(a.t, a, d.arcs), walk_predecessor(a.u, a, d.arcs))
+        for a in arcs
+    ]
+    fwd = [
+        normalize(walk_successor(a.t, a, d.arcs), walk_successor(a.u, a, d.arcs)) for a in arcs
+    ]
+    assert _rotate_all(arcs, d, _pred) == back
+    assert _rotate_all(arcs, d, _succ) == fwd
+    assert [rotate_arc(a, d) for a in arcs] == back
+    assert [rotate_arc_inverse(a, d) for a in arcs] == fwd
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rotation_kernel_matches_cellwalk_on_divider_cases(n):
+    rng = random.Random(100 + n)
+    cases = 0
+    while cases < 25:
+        p, d, a = random_divider_case(rng, max_arcs=6, span=40)
+        if p.n != n:
+            continue
+        cases += 1
+        pts = d.endpoints() + list(a)
+        w = Window(min(pts) - n - 3, max(pts) + n + 3)
+        arcs = [
+            b
+            for b in admissible_arcs_in(w, p)
+            if b not in d.arcs and not any(cross(b, e) for e in d.arcs)
+        ]
+        assert a in arcs
+        assert_kernel_matches_cellwalk(arcs, d)
+
+
+def test_rotation_kernel_matches_cellwalk_on_family_sets():
+    rng = random.Random(17)
+    for _ in range(40):
+        p, x, d = random_family_rotation_case(rng)
+        pts = d.endpoints()
+        w = Window(min(pts) - 25, max(pts) + 25)
+        arcs = [m for m in members_in_window(x, w) if m not in d.arcs]
+        assert arcs
+        assert_kernel_matches_cellwalk(arcs, d)
+
+
+@pytest.mark.parametrize(
+    "bad,error,message",
+    [
+        (Arc(-4, 6), IncompatibleArc, "(-4,6) is a divider arc; dividers are fixed, not rotated"),
+        (Arc(-1, 9), IncompatibleArc, "(-1,9) crosses divider arc (-4,6)"),
+        (Arc(-6, 1), IncompatibleArc, "(-6,1) crosses divider arc (-4,6)"),
+        (Arc(-4, 5), NonAdmissible, "(-4,5) is not admissible for n=3"),
+    ],
+)
+def test_rotation_kernel_error_parity(bad, error, message):
+    good = [Arc(-4, 3), Arc(-7, 6)]
+    for call in (
+        lambda: rotate_arc(bad, D1),
+        lambda: rotate_arc_inverse(bad, D1),
+        lambda: _rotate_all(good + [bad], D1, _pred),
+        lambda: _rotate_all(good + [bad], D1, _succ),
+    ):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_rotate_set_regression():
