@@ -3,6 +3,14 @@
 Exit codes: 0 success / check passed, 1 check failed (witnesses printed),
 2 usage or input error.  ``--format json`` emits one report object per run,
 validating against :data:`infgon.documents.REPORT_SCHEMA`.
+
+Every command is one row of :data:`COMMANDS`: help text, what it needs,
+options (see :func:`_opt`) and a handler.  One shared path, :func:`_run`,
+validates ``--n``, loads the document, reads the options, builds the report's
+``inputs`` from them plus ``n``, and emits text or JSON.  A handler
+``run(args, ctx)`` only computes a :class:`Report`; ``ctx`` holds the document
+``doc``, the modulus ``p``, the window ``w``, the ``arcs`` and, under each
+set-name option's name, its arc set.
 """
 
 from __future__ import annotations
@@ -13,9 +21,11 @@ import os
 import re
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from .arcs import Arc, ModelParams, cross
+from .arcs import Arc, ModelParams, cross, normalize
 from .arcsets import (
     Window,
     finiteness_check,
@@ -26,7 +36,7 @@ from .arcsets import (
     nc_window,
 )
 from .cotorsion import PairReport, check_pair, core
-from .documents import Document, arcset_to_json, parse_document
+from .documents import arcset_to_json, parse_document
 from .errors import InfgonError, PairCheckFailed
 from .homs import ext_dim, hom_dim
 from .mutation import DividerSet, mutate_pair
@@ -48,20 +58,14 @@ def _parse_window(text: str) -> Window:
     return Window(int(m.group(1)), int(m.group(2)))
 
 
-def _parse_arcs(text: str, count: int | None = None) -> list[Arc]:
+def _parse_arcs(text: str) -> list[Arc]:
     pairs = _ARC_RE.findall(text)
     if not pairs or _ARC_RE.sub("", text).strip(" ,;"):
         raise InfgonError(f"bad arc list {text!r}; expected e.g. \"(2,9) (-1,6)\"")
-    arcs = [Arc(int(t), int(u)) if int(t) < int(u) else Arc(int(u), int(t)) for t, u in pairs]
-    if count is not None and len(arcs) != count:
-        raise InfgonError(f"expected {count} arcs, got {len(arcs)} in {text!r}")
+    arcs = [normalize(int(t), int(u)) for t, u in pairs]
+    if len(arcs) != 2:
+        raise InfgonError(f"expected 2 arcs, got {len(arcs)} in {text!r}")
     return arcs
-
-
-def _load_document(args: argparse.Namespace) -> Document:
-    if not args.input:
-        raise InfgonError("this command needs --input FILE")
-    return parse_document(Path(args.input).read_bytes(), n=args.n)
 
 
 def _encode_witness(w: object) -> object:
@@ -73,322 +77,201 @@ def _encode_witness(w: object) -> object:
 
 
 def _region_json(reg) -> dict:
-    return {
-        "points": sorted(reg.points),
-        "left_rays": sorted(reg.left_rays),
-        "right_rays": sorted(reg.right_rays),
-    }
+    return {key: sorted(getattr(reg, key)) for key in ("points", "left_rays", "right_rays")}
 
 
-def _pair_report_details(rep: PairReport) -> dict:
-    return {
-        name: {
-            "ok": cond.ok,
-            "mode": cond.mode,
-            "witnesses": [_encode_witness(w) for w in cond.witnesses],
-        }
-        for name, cond in rep.conditions().items()
-    }
+@dataclass
+class Report:
+    """What a handler computed.  A text line is a string, or an ``(ok, label)``
+    pair printed as a PASS/FAIL line.  ``inputs`` adds to the declared ones."""
+
+    lines: list = field(default_factory=list)
+    verdict: bool | None = None
+    witnesses: list = field(default_factory=list)
+    result: object = None
+    details: dict | None = None
+    inputs: dict = field(default_factory=dict)
+    warnings: tuple[str, ...] = ()
 
 
-class _Out:
-    """Collects the report and prints it once, honoring --format/--out."""
-
-    def __init__(self, command: str, args: argparse.Namespace):
-        self.command = command
-        self.fmt = args.format
-        self.out = args.out
-        self.t0 = time.perf_counter()
-        self.lines: list[str] = []
-        self.color = (
-            self.fmt == "text" and sys.stdout.isatty() and not os.environ.get("NO_COLOR")
-        )
-
-    def text(self, line: str) -> None:
-        self.lines.append(line)
-
-    def verdict_line(self, ok: bool, label: str) -> None:
-        word = "PASS" if ok else "FAIL"
-        if self.color:
-            word = f"\x1b[32m{word}\x1b[0m" if ok else f"\x1b[31m{word}\x1b[0m"
-        self.lines.append(f"{word}: {label}")
-
-    def emit(
-        self,
-        inputs: dict,
-        verdict: bool | None,
-        witnesses: list | None = None,
-        result: object = None,
-        details: dict | None = None,
-    ) -> int:
-        if self.fmt == "json":
-            report = {
-                "command": self.command,
-                "inputs": inputs,
-                "verdict": verdict,
-                "witnesses": [_encode_witness(w) for w in (witnesses or [])],
-                "timing_ms": round((time.perf_counter() - self.t0) * 1000.0, 3),
-            }
-            if result is not None:
-                report["result"] = result
-            if details is not None:
-                report["details"] = details
-            payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        else:
-            payload = "\n".join(self.lines) + "\n" if self.lines else ""
-        if self.out:
-            Path(self.out).write_text(payload)
-        else:
-            sys.stdout.write(payload)
-        return 0 if verdict in (True, None) else 1
+def _dim(value: int, arcs: list[Arc]) -> Report:
+    x, y = arcs
+    return Report([str(value)], result=value, inputs={"x": [*x], "y": [*y]})
 
 
-def _cmd_ext(args) -> int:
-    out = _Out("ext", args)
-    p = ModelParams(args.n)
-    x, y = _parse_arcs(args.arcs, 2)
-    dim = ext_dim(x, y, args.degree, p)
-    out.text(str(dim))
-    return out.emit(
-        {"n": args.n, "x": [*x], "y": [*y], "degree": args.degree}, None, result=dim
+def _cross(a, c) -> Report:
+    x, y = c.arcs
+    res = cross(x, y)
+    return Report(["cross" if res else "no-cross"], result=res, inputs={"a": [*x], "b": [*y]})
+
+
+def _arc_list(arcs: list[Arc]) -> Report:
+    return Report([str(a) for a in arcs], result=[[a.t, a.u] for a in arcs])
+
+
+def _fountains(a, c) -> Report:
+    left, right = (_region_json(reg) for reg in fountain_loci(c.set))
+    fin = finiteness_check(c.set)
+    return Report(
+        [
+            f"left-fountains:  {left}",
+            f"right-fountains: {right}",
+            (fin.contravariant_ok, "right-fountains inside left-fountains"),
+            (fin.covariant_ok, "left-fountains inside right-fountains"),
+        ],
+        witnesses=[w for w in (fin.contravariant_witness, fin.covariant_witness) if w is not None],
+        result={"left": left, "right": right},
+        details={"contravariant_ok": fin.contravariant_ok, "covariant_ok": fin.covariant_ok},
     )
 
 
-def _cmd_hom(args) -> int:
-    out = _Out("hom", args)
-    p = ModelParams(args.n)
-    x, y = _parse_arcs(args.arcs, 2)
-    dim = hom_dim(x, y, p)
-    out.text(str(dim))
-    return out.emit({"n": args.n, "x": [*x], "y": [*y]}, None, result=dim)
+def _ptolemy(a, c) -> Report:
+    rep = is_ptolemy_window(c.set, c.w)
+    lines = [(rep.ok, f"set {a.set} is a Ptolemy diagram on [{c.w.lo}, {c.w.hi}]")]
+    if rep.ok:
+        return Report(lines, True)
+    lines.append(f"crossing pair {rep.pair[0]} {rep.pair[1]} misses corner {rep.missing}")
+    return Report(lines, False, [*rep.pair, rep.missing])
 
 
-def _cmd_cross(args) -> int:
-    out = _Out("cross", args)
-    a, b = _parse_arcs(args.arcs, 2)
-    res = cross(a, b)
-    out.text("cross" if res else "no-cross")
-    return out.emit({"a": [*a], "b": [*b]}, None, result=res)
+_PAIR_LABELS = {
+    "x_equals_nc_y": "X equals nc(Y)",
+    "y_equals_nc_x": "Y equals nc(X)",
+    "x_contravariant": "right-fountains of X inside left-fountains of X",
+    "y_covariant": "left-fountains of Y inside right-fountains of Y",
+}
 
 
-def _cmd_nc(args) -> int:
-    out = _Out("nc", args)
-    doc = _load_document(args)
-    s = doc.require(args.set)
-    w = _parse_window(args.window)
-    arcs = nc_window(s, w)
-    for a in arcs:
-        out.text(str(a))
-    return out.emit(
-        {"set": args.set, "window": [w.lo, w.hi], "n": doc.params.n},
-        None,
-        result=[[a.t, a.u] for a in arcs],
-    )
-
-
-def _cmd_fountains(args) -> int:
-    out = _Out("fountains", args)
-    doc = _load_document(args)
-    s = doc.require(args.set)
-    left, right = fountain_loci(s)
-    fin = finiteness_check(s)
-    out.text(f"left-fountains:  {_region_json(left)}")
-    out.text(f"right-fountains: {_region_json(right)}")
-    out.verdict_line(fin.contravariant_ok, "right-fountains inside left-fountains")
-    out.verdict_line(fin.covariant_ok, "left-fountains inside right-fountains")
-    witnesses = [w for w in (fin.contravariant_witness, fin.covariant_witness) if w is not None]
-    return out.emit(
-        {"set": args.set, "n": doc.params.n},
-        None,
-        witnesses,
-        result={"left": _region_json(left), "right": _region_json(right)},
-        details={
-            "contravariant_ok": fin.contravariant_ok,
-            "covariant_ok": fin.covariant_ok,
-        },
-    )
-
-
-def _cmd_frame(args) -> int:
-    out = _Out("frame", args)
-    doc = _load_document(args)
-    s = doc.require(args.set)
-    w = _parse_window(args.window)
-    arcs = frame(s, w)
-    for a in arcs:
-        out.text(str(a))
-    return out.emit(
-        {"set": args.set, "window": [w.lo, w.hi], "n": doc.params.n},
-        None,
-        result=[[a.t, a.u] for a in arcs],
-    )
-
-
-def _cmd_ptolemy(args) -> int:
-    out = _Out("ptolemy", args)
-    doc = _load_document(args)
-    s = doc.require(args.set)
-    w = _parse_window(args.window)
-    rep = is_ptolemy_window(s, w)
-    out.verdict_line(rep.ok, f"set {args.set} is a Ptolemy diagram on [{w.lo}, {w.hi}]")
-    witnesses = []
-    if not rep.ok:
-        out.text(f"crossing pair {rep.pair[0]} {rep.pair[1]} misses corner {rep.missing}")
-        witnesses = [rep.pair[0], rep.pair[1], rep.missing]
-    return out.emit(
-        {"set": args.set, "window": [w.lo, w.hi], "n": doc.params.n}, rep.ok, witnesses
-    )
-
-
-def _pair_text(out: _Out, rep: PairReport) -> None:
-    labels = {
-        "x_equals_nc_y": "X equals nc(Y)",
-        "y_equals_nc_x": "Y equals nc(X)",
-        "x_contravariant": "right-fountains of X inside left-fountains of X",
-        "y_covariant": "left-fountains of Y inside right-fountains of Y",
-    }
-    for name, cond in rep.conditions().items():
-        out.verdict_line(cond.ok, f"{labels[name]} [{cond.mode}]")
+def _pair_report(rep: PairReport, lines: list, label: str, **fields) -> Report:
+    """The four conditions as PASS/FAIL lines after ``lines``, then the verdict."""
+    conditions = rep.conditions()
+    for name, cond in conditions.items():
+        lines.append((cond.ok, f"{_PAIR_LABELS[name]} [{cond.mode}]"))
         if not cond.ok:
-            shown = ", ".join(str(w) for w in cond.witnesses[:6])
-            out.text(f"  witnesses: {shown}")
+            lines.append(f"  witnesses: {', '.join(str(w) for w in cond.witnesses[:6])}")
+    lines.append((rep.verdict, label))
+    details = {
+        name: {"ok": c.ok, "mode": c.mode, "witnesses": [_encode_witness(w) for w in c.witnesses]}
+        for name, c in conditions.items()
+    }
+    witnesses = [w for cond in conditions.values() for w in cond.witnesses]
+    return Report(lines, rep.verdict, witnesses, details=details, **fields)
 
 
-def _cmd_check_pair(args) -> int:
-    out = _Out("check-pair", args)
-    doc = _load_document(args)
-    x, y = doc.require(args.x), doc.require(args.y)
-    w = _parse_window(args.window)
-    rep = check_pair(x, y, w)
-    _pair_text(out, rep)
-    out.verdict_line(rep.verdict, f"({args.x}, {args.y}) window-certified pair")
-    witnesses = [w for cond in rep.conditions().values() for w in cond.witnesses]
-    return out.emit(
-        {"x": args.x, "y": args.y, "window": [w.lo, w.hi], "n": doc.params.n},
-        rep.verdict,
-        witnesses,
-        details=_pair_report_details(rep),
-    )
-
-
-def _cmd_core(args) -> int:
-    out = _Out("core", args)
-    doc = _load_document(args)
-    x, y = doc.require(args.x), doc.require(args.y)
-    w = _parse_window(args.window)
-    arcs = core(x, y, w)
-    for a in arcs:
-        out.text(str(a))
-    return out.emit(
-        {"x": args.x, "y": args.y, "window": [w.lo, w.hi], "n": doc.params.n},
-        None,
-        result=[[a.t, a.u] for a in arcs],
-    )
-
-
-def _cmd_mutate(args) -> int:
-    out = _Out("mutate", args)
-    doc = _load_document(args)
-    x, y = doc.require(args.x), doc.require(args.y)
-    d_set = doc.require(args.d)
-    if d_set.families:
-        raise InfgonError(f"divider set {args.d!r} must be finite (no families)")
-    d = DividerSet(doc.params, d_set.explicit)
-    w = _parse_window(args.window)
+def _mutate(a, c) -> Report:
+    if c.d.families:
+        raise InfgonError(f"divider set {a.d!r} must be finite (no families)")
+    d = DividerSet(c.p, c.d.explicit)
     try:
-        x2, y2, rep = mutate_pair(x, y, d, w, force=args.force)
+        x2, y2, rep = mutate_pair(c.x, c.y, d, c.w, force=a.force)
     except PairCheckFailed as exc:
         raise InfgonError(
             "pair fails its verification report; pass --force to mutate anyway"
         ) from exc
-    shrunk = w.shrink(d.span() + 1)
-    out.text(f"rotated {args.x} on [{shrunk.lo}, {shrunk.hi}]:")
-    for a in members_in_window(x2, shrunk):
-        out.text(f"  {a}")
-    out.text(f"rotated {args.y} on [{shrunk.lo}, {shrunk.hi}]:")
-    for a in members_in_window(y2, shrunk):
-        out.text(f"  {a}")
-    _pair_text(out, rep)
-    out.verdict_line(rep.verdict, "mutated pair window-certified")
-    witnesses = [w for cond in rep.conditions().values() for w in cond.witnesses]
-    return out.emit(
-        {
-            "x": args.x,
-            "y": args.y,
-            "d": args.d,
-            "window": [w.lo, w.hi],
-            "n": doc.params.n,
-            "force": bool(args.force),
-        },
-        rep.verdict,
-        witnesses,
-        result={
-            "rotated_x": arcset_to_json(x2),
-            "rotated_y": arcset_to_json(y2),
-            "shrunk_window": [shrunk.lo, shrunk.hi],
-        },
-        details=_pair_report_details(rep),
-    )
+    shrunk = c.w.shrink(d.span() + 1)
+    lines = []
+    for name, s in ((a.x, x2), (a.y, y2)):
+        lines.append(f"rotated {name} on [{shrunk.lo}, {shrunk.hi}]:")
+        lines.extend(f"  {arc}" for arc in members_in_window(s, shrunk))
+    result = {
+        "rotated_x": arcset_to_json(x2),
+        "rotated_y": arcset_to_json(y2),
+        "shrunk_window": [shrunk.lo, shrunk.hi],
+    }
+    return _pair_report(rep, lines, "mutated pair window-certified", result=result)
 
 
-def _cmd_oracle(args) -> int:
-    out = _Out("oracle", args)
-    p = ModelParams(args.n)
-    w = _parse_window(args.window)
-    cx = cross_ext_mismatches(p, w.lo, w.hi)
-    sd = serre_duality_mismatches(p, w.lo, w.hi)
-    hs = hom_serre_mismatches(p, w.lo, w.hi)
-    fuzz = run_mutation_fuzz(args.fuzz_cases, args.seed)
-    out.verdict_line(not cx, f"crossing vs Ext agreement on [{w.lo}, {w.hi}] (n={args.n})")
-    out.verdict_line(not sd, "Ext dimension duality ext(x,y,i) == ext(y,x,n+1-i)")
-    out.verdict_line(not hs, "Hom duality hom(x,y) == hom(y, S x)")
-    out.verdict_line(fuzz.ok, f"rotation fuzz, {fuzz.cases} cases (seed {args.seed})")
+def _oracle(a, c) -> Report:
+    if a.fuzz_cases < 0:
+        raise InfgonError(f"--fuzz-cases must be a non-negative integer, got {a.fuzz_cases}")
+    lo, hi = c.w.lo, c.w.hi
+    cx = cross_ext_mismatches(c.p, lo, hi)
+    sd = serre_duality_mismatches(c.p, lo, hi)
+    hs = hom_serre_mismatches(c.p, lo, hi)
+    fuzz = run_mutation_fuzz(a.fuzz_cases, a.seed)
+    lines = [
+        (not cx, f"crossing vs Ext agreement on [{lo}, {hi}] (n={c.p.n})"),
+        (not sd, "Ext dimension duality ext(x,y,i) == ext(y,x,n+1-i)"),
+        (not hs, "Hom duality hom(x,y) == hom(y, S x)"),
+        (fuzz.ok, f"rotation fuzz, {fuzz.cases} cases (seed {a.seed})"),
+    ]
+    details = {
+        "cross_ext_mismatches": len(cx),
+        "serre_mismatches": len(sd),
+        "hom_serre_mismatches": len(hs),
+        "fuzz_cases": fuzz.cases,
+        "fuzz_failures": len(fuzz.involution_failures) + len(fuzz.image_failures)
+        + len(fuzz.cellwalk_failures) + len(fuzz.triangle_failures),
+    }
     ok = not cx and not sd and not hs and fuzz.ok
-    witnesses = [a for pair in cx[:4] for a in pair]
-    return out.emit(
-        {
-            "n": args.n,
-            "window": [w.lo, w.hi],
-            "fuzz_cases": args.fuzz_cases,
-            "seed": args.seed,
-        },
-        ok,
-        witnesses,
-        details={
-            "cross_ext_mismatches": len(cx),
-            "serre_mismatches": len(sd),
-            "hom_serre_mismatches": len(hs),
-            "fuzz_cases": fuzz.cases,
-            "fuzz_failures": len(fuzz.involution_failures)
-            + len(fuzz.image_failures)
-            + len(fuzz.cellwalk_failures)
-            + len(fuzz.triangle_failures),
-        },
-    )
+    return Report(lines, ok, [arc for pair in cx[:4] for arc in pair], details=details)
 
 
-def _cmd_render(args) -> int:
-    doc = _load_document(args)
-    names = args.sets.split(",") if args.sets else sorted(doc.sets)
-    for name in names + ([args.highlight] if args.highlight else []):
-        doc.require(name)
-    w = _parse_window(args.window)
-    fn = render_svg if args.style == "svg" else render_text
-    res = fn(doc.sets, names, w, args.highlight)
-    for warning in res.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if args.out:
-        Path(args.out).write_bytes(res.payload)
-    else:
-        sys.stdout.buffer.write(res.payload)
-    return 0
+def _render(a, c) -> Report:
+    names = a.sets.split(",") if a.sets else sorted(c.doc.sets)
+    for name in names:
+        c.doc.require(name)
+    fn = render_svg if a.style == "svg" else render_text
+    res = fn(c.doc.sets, names, c.w, a.highlight)
+    payload = res.payload.decode("utf-8")
+    # the payload ends in a newline, which the text emitter adds back
+    return Report([payload[:-1]], result=payload, warnings=res.warnings)
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--input", help="JSON document of named arc sets")
-    sp.add_argument("--n", type=int, default=None, help="modulus override")
-    sp.add_argument("--format", choices=("json", "text"), default="text")
-    sp.add_argument("--out", help="write output to this file instead of stdout")
+def _opt(flag: str, kind: str = "value", **kw) -> tuple[str, str, dict]:
+    """One option: its flag, what the shared path makes of it, and its
+    ``argparse`` keywords.  A ``value`` goes into ``inputs`` as given; a
+    ``set`` name goes in too and is resolved to its arc set; a ``window`` is
+    parsed and goes in as ``[lo, hi]``; ``arcs`` are parsed and left for the
+    handler to report."""
+    return flag, kind, kw
+
+
+_ARCS = _opt("--arcs", "arcs", required=True, help='two arcs, e.g. "(2,9) (-1,6)"')
+_WINDOW = _opt("--window", "window", required=True)
+_SET, _X, _Y = (_opt(flag, "set", required=True) for flag in ("--set", "--x", "--y"))
+
+
+class Command(NamedTuple):
+    help: str
+    needs: str | None  # None, "n" (from --n or --input) or "doc" (from --input)
+    options: tuple
+    run: Callable[..., Report]
+
+
+COMMANDS: dict[str, Command] = {
+    "ext": Command("dim Ext^i between two arcs", "n",
+                   (_ARCS, _opt("--degree", type=int, required=True)),
+                   lambda a, c: _dim(ext_dim(*c.arcs, a.degree, c.p), c.arcs)),
+    "hom": Command("dim Hom between two arcs", "n", (_ARCS,),
+                   lambda a, c: _dim(hom_dim(*c.arcs, c.p), c.arcs)),
+    "cross": Command("crossing predicate", None, (_ARCS,), _cross),
+    "nc": Command("non-crossing closure on a window", "doc", (_SET, _WINDOW),
+                  lambda a, c: _arc_list(nc_window(c.set, c.w))),
+    "fountains": Command("fountain loci and finiteness", "doc", (_SET,), _fountains),
+    "frame": Command("members crossing nothing in their set", "doc", (_SET, _WINDOW),
+                     lambda a, c: _arc_list(frame(c.set, c.w))),
+    "ptolemy": Command("Ptolemy condition on a window", "doc", (_SET, _WINDOW), _ptolemy),
+    "check-pair": Command("four-condition pair verification", "doc", (_X, _Y, _WINDOW),
+                          lambda a, c: _pair_report(check_pair(c.x, c.y, c.w), [],
+                                                    f"({a.x}, {a.y}) window-certified pair")),
+    "core": Command("intersection of a pair on a window", "doc", (_X, _Y, _WINDOW),
+                    lambda a, c: _arc_list(core(c.x, c.y, c.w))),
+    "mutate": Command("rotate a verified pair by a divider set", "doc",
+                      (_X, _Y, _opt("--d", "set", required=True), _WINDOW,
+                       _opt("--force", action="store_true", help="mutate even if the pair fails")),
+                      _mutate),
+    "oracle": Command("run the brute-force agreement sweeps", "n",
+                      (_opt("--window", "window", default="-12..12"),
+                       _opt("--fuzz-cases", type=int, default=200),
+                       _opt("--seed", type=int, default=0)),
+                      _oracle),
+    "render": Command("draw sets as SVG or a text grid", "doc",
+                      (_opt("--sets", help="comma-separated set names (default: all)"),
+                       _opt("--highlight", "set", help="set drawn in a distinct stroke"),
+                       _WINDOW, _opt("--style", choices=("svg", "text"), default="svg")),
+                      _render),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,94 +281,104 @@ def build_parser() -> argparse.ArgumentParser:
         "closures, pair verification, rotation mutation.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kw):
-        sp = sub.add_parser(name, **kw)
-        _add_common(sp)
-        sp.set_defaults(fn=fn)
-        return sp
-
-    sp = add("ext", _cmd_ext, help="dim Ext^i between two arcs")
-    sp.add_argument("--arcs", required=True, help='two arcs, e.g. "(2,9) (-1,6)"')
-    sp.add_argument("--degree", type=int, required=True)
-
-    sp = add("hom", _cmd_hom, help="dim Hom between two arcs")
-    sp.add_argument("--arcs", required=True)
-
-    sp = add("cross", _cmd_cross, help="crossing predicate")
-    sp.add_argument("--arcs", required=True)
-
-    sp = add("nc", _cmd_nc, help="non-crossing closure on a window")
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--window", required=True)
-
-    sp = add("fountains", _cmd_fountains, help="fountain loci and finiteness")
-    sp.add_argument("--set", required=True)
-
-    sp = add("frame", _cmd_frame, help="members crossing nothing in their set")
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--window", required=True)
-
-    sp = add("ptolemy", _cmd_ptolemy, help="Ptolemy condition on a window")
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--window", required=True)
-
-    sp = add("check-pair", _cmd_check_pair, help="four-condition pair verification")
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    sp.add_argument("--window", required=True)
-
-    sp = add("core", _cmd_core, help="intersection of a pair on a window")
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    sp.add_argument("--window", required=True)
-
-    sp = add("mutate", _cmd_mutate, help="rotate a verified pair by a divider set")
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    sp.add_argument("--d", required=True)
-    sp.add_argument("--window", required=True)
-    sp.add_argument("--force", action="store_true", help="mutate even if the pair fails")
-
-    sp = add("oracle", _cmd_oracle, help="run the brute-force agreement sweeps")
-    sp.add_argument("--window", default="-12..12")
-    sp.add_argument("--fuzz-cases", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=0)
-
-    sp = add("render", _cmd_render, help="draw sets as SVG or a text grid")
-    sp.add_argument("--sets", help="comma-separated set names (default: all)")
-    sp.add_argument("--highlight", help="set drawn in a distinct stroke")
-    sp.add_argument("--window", required=True)
-    sp.add_argument("--style", choices=("svg", "text"), default="svg")
-
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        sp.add_argument("--input", help="JSON document of named arc sets")
+        sp.add_argument("--n", type=int, default=None, help="modulus override")
+        sp.add_argument("--format", choices=("json", "text"), default="text")
+        sp.add_argument("--out", help="write output to this file instead of stdout")
+        for flag, _, kw in cmd.options:
+            sp.add_argument(flag, **kw)
     return ap
+
+
+def _run(name: str, a: argparse.Namespace) -> int:
+    t0 = time.perf_counter()
+    cmd = COMMANDS[name]
+    if a.n is not None and a.n < 1:
+        raise InfgonError(f"--n must be a positive integer, got {a.n}")
+    c = argparse.Namespace(doc=None, p=None, w=None, arcs=None)
+    if cmd.needs == "doc" or (cmd.needs == "n" and a.n is None):
+        if not a.input:
+            raise InfgonError(
+                "this command needs --input FILE" if cmd.needs == "doc"
+                else f"{name} needs --n or --input"
+            )
+        c.doc = parse_document(Path(a.input).read_bytes(), n=a.n)
+    inputs = {}
+    if cmd.needs:
+        c.p = c.doc.params if c.doc else ModelParams(a.n)
+        inputs["n"] = c.p.n
+    for flag, kind, _ in cmd.options:
+        dest = flag[2:].replace("-", "_")
+        value = getattr(a, dest)
+        if kind == "arcs":
+            c.arcs = _parse_arcs(value)
+            continue
+        if kind == "set" and value is not None:
+            setattr(c, dest, c.doc.require(value))
+        elif kind == "window":
+            c.w = _parse_window(value)
+            value = [c.w.lo, c.w.hi]
+        inputs[dest] = value
+    rep = cmd.run(a, c)
+    return _emit(name, a, {**inputs, **rep.inputs}, rep, t0)
+
+
+def _verdict_line(ok: bool, label: str, color: bool) -> str:
+    word = "PASS" if ok else "FAIL"
+    if color:
+        word = f"\x1b[32m{word}\x1b[0m" if ok else f"\x1b[31m{word}\x1b[0m"
+    return f"{word}: {label}"
+
+
+def _emit(name: str, a: argparse.Namespace, inputs: dict, rep: Report, t0: float) -> int:
+    """Print the report once, honoring --format/--out; return the exit code."""
+    if a.format == "json":
+        report = {
+            "command": name,
+            "inputs": inputs,
+            "verdict": rep.verdict,
+            "witnesses": [_encode_witness(w) for w in rep.witnesses],
+            "timing_ms": round((time.perf_counter() - t0) * 1000.0, 3),
+        }
+        if rep.result is not None:
+            report["result"] = rep.result
+        if rep.details is not None:
+            report["details"] = rep.details
+        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    else:
+        color = sys.stdout.isatty() and not os.environ.get("NO_COLOR")
+        payload = "".join(
+            f"{line if isinstance(line, str) else _verdict_line(*line, color)}\n"
+            for line in rep.lines
+        )
+    for warning in rep.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    if a.out:
+        Path(a.out).write_text(payload)
+    else:
+        sys.stdout.write(payload)
+    return 0 if rep.verdict in (True, None) else 1
 
 
 def _absorb_window_values(argv: list[str]) -> list[str]:
     """Join ``--window -20..20`` into one token so argparse does not read the
     negative bound as an option."""
-    out = []
-    it = iter(argv)
-    for tok in it:
-        if tok == "--window":
-            val = next(it, None)
-            out.append(tok if val is None else f"--window={val}")
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--window":
+            out[-1] = f"--window={tok}"
         else:
             out.append(tok)
     return out
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(_absorb_window_values(sys.argv[1:] if argv is None else list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_absorb_window_values(argv))
     try:
-        if args.n is not None and args.n < 1:
-            raise InfgonError(f"--n must be a positive integer, got {args.n}")
-        if args.command in ("ext", "hom", "oracle") and args.n is None:
-            if not args.input:
-                raise InfgonError(f"{args.command} needs --n or --input")
-            args.n = _load_document(args).params.n
-        return args.fn(args)
+        return _run(args.command, args)
     except (InfgonError, OSError) as exc:
         print(f"infgon: error: {exc}", file=sys.stderr)
         return 2

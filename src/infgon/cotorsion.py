@@ -15,8 +15,7 @@ from typing import Iterable, Sequence
 
 from .arcs import Arc, ModelParams, cross, require_admissible
 from .arcsets import ArcSet, Window, contains, finiteness_check, members_in_window, nc_window
-from .errors import OracleMismatch, WindowTooSmall
-from .homs import ext_profile
+from .errors import WindowTooSmall
 
 __all__ = [
     "Condition",
@@ -129,21 +128,15 @@ class RigidityReport:
 def rigidity_check(arcs: Iterable[Arc], p: ModelParams) -> RigidityReport:
     """All extension degrees 1..n vanish within the collection.
 
-    Runs both the homological route (ext profiles) and the geometric route
-    (pairwise crossing); they are equivalent and must agree, else the library
-    itself is inconsistent.
+    Decided by pairwise crossing: two admissible arcs have some nonzero
+    ``Ext^i`` exactly when they cross, an equivalence that
+    :func:`infgon.oracles.cross_ext_mismatches` checks exhaustively.
     """
     items: Sequence[Arc] = sorted(set(arcs))
     for a in items:
         require_admissible(a, p)
     for a in items:
         for b in items:
-            ext_route = any(ext_profile(a, b, p))
-            cross_route = cross(a, b)
-            if ext_route != cross_route:
-                raise OracleMismatch(
-                    f"ext profile and crossing disagree on ({a}, {b}) for n={p.n}"
-                )
-            if ext_route:
+            if cross(a, b):
                 return RigidityReport(False, (a, b))
     return RigidityReport(True)

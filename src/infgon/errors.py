@@ -61,10 +61,6 @@ class TriangleMismatch(InfgonError):
     """The extension-triangle route disagreed with the rotation route."""
 
 
-class OracleMismatch(InfgonError):
-    """Two supposedly equivalent computation routes disagreed."""
-
-
 class ParseError(InfgonError):
     """Malformed input document."""
 

@@ -274,3 +274,31 @@ def test_malformed_input_for_ext_is_an_input_error(capsys, tmp_path):
     )
     assert_input_error(code, err)
     assert out == "" and "JSON" in err
+
+
+def test_render_json_is_a_report(capsys, tmp_path):
+    for style in ("svg", "text"):
+        argv = ["render", "--input", EXAMPLE, "--sets", "X", "--highlight", "D",
+                "--window", "-8..10", "--style", style]
+        code, drawing, _ = run(capsys, *argv)
+        assert code == 0
+        code, report = run_json(capsys, *argv)
+        assert code == 0 and report["verdict"] is None and report["witnesses"] == []
+        assert report["result"] == drawing
+        assert report["inputs"] == {
+            "n": 3, "sets": "X", "highlight": "D", "window": [-8, 10], "style": style,
+        }
+    # warnings still go to stderr, next to the report on stdout
+    doc = tmp_path / "far.json"
+    doc.write_text(json.dumps({"n": 3, "sets": {"G": {"families": [{"kind": "half_right", "q": 50}]}}}))
+    code, out, err = run(
+        capsys, "render", "--input", str(doc), "--sets", "G", "--window", "-5..5", "--format", "json"
+    )
+    assert code == 0 and "warning" in err
+    jsonschema.validate(json.loads(out), REPORT_SCHEMA)
+
+
+def test_negative_fuzz_cases_is_an_input_error(capsys):
+    code, out, err = run(capsys, "oracle", "--n", "2", "--window", "-4..4", "--fuzz-cases", "-3")
+    assert_input_error(code, err)
+    assert out == "" and "--fuzz-cases" in err
