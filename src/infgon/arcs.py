@@ -50,11 +50,11 @@ class Arc(_ArcBase):
     __slots__ = ()
 
     def __new__(cls, t: int, u: int) -> "Arc":
+        if t < u:
+            return tuple.__new__(cls, (t, u))
         if t == u:
             raise DegeneratePair(f"degenerate pair ({t}, {u})")
-        if t > u:
-            raise ValueError(f"arc endpoints out of order: ({t}, {u}); use normalize()")
-        return super().__new__(cls, t, u)
+        raise ValueError(f"arc endpoints out of order: ({t}, {u}); use normalize()")
 
     def __repr__(self) -> str:  # compact, matches the on-paper notation
         return f"({self.t},{self.u})"

@@ -50,12 +50,20 @@ from .render import render_svg, render_text
 
 _ARC_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 
+# Widest accepted --window (HI - LO).  The closures list every admissible arc
+# of the window, about width**2 / (2 n) of them, so an unbounded width lets
+# one command exhaust memory.
+MAX_WINDOW_WIDTH = 1000
+
 
 def _parse_window(text: str) -> Window:
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
-    if not m or int(m.group(1)) >= int(m.group(2)):
+    lo, hi = map(int, m.groups()) if m else (0, 0)
+    if lo >= hi:
         raise InfgonError(f"bad window {text!r}; expected LO..HI with LO < HI, e.g. -20..20")
-    return Window(int(m.group(1)), int(m.group(2)))
+    if hi - lo > MAX_WINDOW_WIDTH:
+        raise InfgonError(f"window {text!r} is wider than {MAX_WINDOW_WIDTH}")
+    return Window(lo, hi)
 
 
 def _parse_arcs(text: str) -> list[Arc]:
@@ -298,13 +306,13 @@ def _run(name: str, a: argparse.Namespace) -> int:
     if a.n is not None and a.n < 1:
         raise InfgonError(f"--n must be a positive integer, got {a.n}")
     c = argparse.Namespace(doc=None, p=None, w=None, arcs=None)
-    if cmd.needs == "doc" or (cmd.needs == "n" and a.n is None):
-        if not a.input:
-            raise InfgonError(
-                "this command needs --input FILE" if cmd.needs == "doc"
-                else f"{name} needs --n or --input"
-            )
+    if a.input:
         c.doc = parse_document(Path(a.input).read_bytes(), n=a.n)
+    elif cmd.needs == "doc" or (cmd.needs == "n" and a.n is None):
+        raise InfgonError(
+            "this command needs --input FILE" if cmd.needs == "doc"
+            else f"{name} needs --n or --input"
+        )
     inputs = {}
     if cmd.needs:
         c.p = c.doc.params if c.doc else ModelParams(a.n)

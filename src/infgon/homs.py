@@ -12,6 +12,13 @@ Ext^1(x, shift(y, i - 1))`` and ``Hom(x, y) = Ext^1(x, shift(y, -1))``.
 The two condition sets are mutually exclusive for every n >= 1: the first
 needs ``t <= r - n`` and the second ``t >= r + 1``.  The test suite checks
 this directly.
+
+``ext1_case``, ``ext_dim`` and ``hom_dim`` share one private integer kernel,
+:func:`_ext1`, which applies the degree shift to the endpoints of y and tests
+admissibility inline, so no arc is built per call.  Errors keep one rule:
+``InvalidDegree`` comes first, then ``NonAdmissible`` for x, then for y,
+raised by ``require_admissible`` on the failure path only; for ``ext_dim``
+and ``hom_dim`` the message names the shifted y.
 """
 
 from __future__ import annotations
@@ -54,13 +61,17 @@ _SAME = ExtCase(ExtKind.SAME_COMPONENT)
 _NEXT = ExtCase(ExtKind.NEXT_COMPONENT)
 
 
-def ext1_case(x: Arc, y: Arc, p: ModelParams) -> ExtCase:
-    """Classify ``Ext^1(x, y)`` for admissible arcs x=(r,s), y=(t,u)."""
-    require_admissible(x, p)
-    require_admissible(y, p)
+def _ext1(x: Arc, y: Arc, k: int, p: ModelParams) -> ExtCase:
+    """Classify ``Ext^1(x, shift(y, k))`` on the integers x=(r,s), y-k=(t,u)."""
     n = p.n
     r, s = x
     t, u = y
+    t -= k
+    u -= k
+    if s - r < 2 or (s - r) % n != 1 % n:
+        require_admissible(x, p)
+    if u - t < 2 or (u - t) % n != 1 % n:
+        require_admissible(shift(y, k), p)
     if (u - s) % n == 0 and t <= r - n and r + 1 <= u <= s - n:
         return _SAME
     if (u - s - 1) % n == 0 and r + 1 <= t <= s - n and s + 1 <= u:
@@ -68,16 +79,21 @@ def ext1_case(x: Arc, y: Arc, p: ModelParams) -> ExtCase:
     return _ZERO
 
 
+def ext1_case(x: Arc, y: Arc, p: ModelParams) -> ExtCase:
+    """Classify ``Ext^1(x, y)`` for admissible arcs x=(r,s), y=(t,u)."""
+    return _ext1(x, y, 0, p)
+
+
 def ext_dim(x: Arc, y: Arc, i: int, p: ModelParams) -> int:
     """dim Ext^i(x, y), always 0 or 1."""
     if i < 1:
         raise InvalidDegree(f"extension degree must be >= 1, got {i}")
-    return 1 if ext1_case(x, shift(y, i - 1), p).nonzero else 0
+    return 0 if _ext1(x, y, i - 1, p) is _ZERO else 1
 
 
 def hom_dim(x: Arc, y: Arc, p: ModelParams) -> int:
     """dim Hom(x, y), always 0 or 1."""
-    return 1 if ext1_case(x, shift(y, -1), p).nonzero else 0
+    return 0 if _ext1(x, y, -1, p) is _ZERO else 1
 
 
 def ext_profile(x: Arc, y: Arc, p: ModelParams) -> list[int]:

@@ -2,8 +2,10 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
-from infgon.cli import main
+from infgon.arcsets import Window
+from infgon.cli import MAX_WINDOW_WIDTH, _parse_window, main
 from infgon.documents import REPORT_SCHEMA
 
 EXAMPLE = str(Path(__file__).resolve().parent.parent / "demos" / "example_sets.json")
@@ -302,3 +304,30 @@ def test_negative_fuzz_cases_is_an_input_error(capsys):
     code, out, err = run(capsys, "oracle", "--n", "2", "--window", "-4..4", "--fuzz-cases", "-3")
     assert_input_error(code, err)
     assert out == "" and "--fuzz-cases" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ext", "--n", "3", "--arcs", "(2,9) (-1,6)", "--degree", "1"],
+        ["hom", "--n", "3", "--arcs", "(2,9) (-1,6)"],
+        ["oracle", "--n", "2", "--window", "-4..4", "--fuzz-cases", "1"],
+        ["cross", "--arcs", "(2,9) (-1,6)"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_malformed_input_is_read_even_with_modulus(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{broken")
+    code, out, err = run(capsys, *argv, "--input", str(bad))
+    assert_input_error(code, err)
+    assert out == "" and "JSON" in err
+
+
+def test_window_wider_than_the_limit_is_an_input_error(capsys):
+    huge = "99999999999999999999..999999999999999999999"
+    for window in (huge, f"0..{MAX_WINDOW_WIDTH + 1}"):
+        code, out, err = run(capsys, "nc", "--input", EXAMPLE, "--set", "X", "--window", window)
+        assert_input_error(code, err)
+        assert out == "" and window in err and str(MAX_WINDOW_WIDTH) in err
+    assert _parse_window(f"0..{MAX_WINDOW_WIDTH}") == Window(0, MAX_WINDOW_WIDTH)

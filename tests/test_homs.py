@@ -17,7 +17,7 @@ from infgon import (
     serre,
     shift,
 )
-from infgon.errors import InvalidDegree, NoExtension, NonAdmissible
+from infgon.errors import InfgonError, InvalidDegree, NoExtension, NonAdmissible
 
 from conftest import admissible_arcs
 
@@ -171,3 +171,65 @@ def test_triangle_middles_geometry():
                         assert not cross(b, m)
             checked += 1
     assert checked > 50
+
+
+def _ref_ext1(x, y, n):
+    """Frozen reference: the module docstring's two conditions on plain
+    integers, or the error type and message an inadmissible arc raises."""
+    for a, b in (x, y):
+        if b - a < 2 or (b - a) % n != 1 % n:
+            return NonAdmissible, f"({a},{b}) is not admissible for n={n}"
+    (r, s), (t, u) = x, y
+    if (u - s) % n == 0 and t <= r - n and r + 1 <= u <= s - n:
+        return ExtKind.SAME_COMPONENT
+    if (u - s - 1) % n == 0 and r + 1 <= t <= s - n and s + 1 <= u:
+        return ExtKind.NEXT_COMPONENT
+    return ExtKind.ZERO
+
+
+def _ref_dim(x, y, k, n):
+    """dim Ext^1(x, y shifted k times), computed on the shifted arc."""
+    res = _ref_ext1(x, (y[0] - k, y[1] - k), n)
+    return res if isinstance(res, tuple) else int(res is not ExtKind.ZERO)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InfgonError as exc:
+        return type(exc), str(exc)
+
+
+def _arcs_in(n, lo=-15, hi=15):
+    """Any arc with endpoints in [lo, hi], half the draws admissible."""
+    d0 = 2 if n == 1 else n + 1
+    any_arc = st.integers(lo, hi - 1).flatmap(
+        lambda t: st.integers(t + 1, hi).map(lambda u: Arc(t, u))
+    )
+    admissible = st.integers(lo, hi - d0).flatmap(
+        lambda t: st.integers(0, (hi - t - d0) // n).map(lambda j: Arc(t, t + d0 + j * n))
+    )
+    return st.one_of(any_arc, admissible)
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(st.just(n), _arcs_in(n), _arcs_in(n), st.integers(0, n + 1))
+    )
+)
+@settings(max_examples=400)
+def test_kernel_matches_shifted_reference(case):
+    n, x, y, i = case
+    p = ModelParams(n)
+    case1 = _ref_ext1(x, y, n)
+    assert _outcome(lambda: ext1_case(x, y, p).kind) == case1
+    assert _outcome(hom_dim, x, y, p) == _ref_dim(x, y, -1, n)
+    if i < 1:
+        assert _outcome(ext_dim, x, y, i, p) == (
+            InvalidDegree, f"extension degree must be >= 1, got {i}"
+        )
+    else:
+        assert _outcome(ext_dim, x, y, i, p) == _ref_dim(x, y, i - 1, n)
+    profile = [_ref_dim(x, y, k, n) for k in range(n)]
+    errors = [d for d in profile if isinstance(d, tuple)]
+    assert _outcome(ext_profile, x, y, p) == (errors[0] if errors else profile)
