@@ -49,8 +49,9 @@ print(f"\nmembership is decided symbolically: (-4, 300) in closure: {contains(y,
 
 left, right = fountain_loci(y)
 print("\nfountain loci of the closure:")
-print(f"  left-fountains:  points {sorted(left.points)}, rays {sorted(left.left_rays)} / {sorted(left.right_rays)}")
-print(f"  right-fountains: points {sorted(right.points)}, rays {sorted(right.left_rays)} / {sorted(right.right_rays)}")
+for label, reg in (("left-fountains: ", left), ("right-fountains:", right)):
+    rays = [[] if v is None else [v] for v in (reg.left_max, reg.right_min)]
+    print(f"  {label} points {sorted(reg.points)}, rays {rays[0]} / {rays[1]}")
 fin = finiteness_check(y)
 print(f"  right-inside-left (contravariant): {fin.contravariant_ok}")
 print(f"  left-inside-right (covariant):     {fin.covariant_ok}")

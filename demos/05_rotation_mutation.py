@@ -42,8 +42,7 @@ for a in (Arc(-4, 3), Arc(-4, 9)):
 
 w = Window(-20, 20)
 x2, y2, rep = mutate_pair(doc.sets["X"], doc.sets["Ync"], d, w)
-shrunk = w.shrink(d.span() + 1)
-print(f"\nmutated pair verified on [{shrunk.lo}, {shrunk.hi}]: {rep.verdict}")
+print(f"\nmutated pair verified on [{rep.window.lo}, {rep.window.hi}]: {rep.verdict}")
 print(f"  rotated X: {sorted(x2.explicit)}")
 print(f"  rotated Ync on the window: {members_in_window(y2, Window(-9, 9))}")
 

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 from .arcs import Arc, ModelParams, cross, is_admissible, require_admissible
 from .errors import UnsupportedFamilies
-from .families import Family
+from .families import Family, _first_from
 from .regions import IntRegion
 
 __all__ = [
@@ -85,10 +85,6 @@ class ArcSet:
     ) -> "ArcSet":
         return ArcSet(params, frozenset(explicit), tuple(families))
 
-    @property
-    def finite(self) -> bool:
-        return not self.families
-
 
 def admissible_arcs_in(w: Window, p: ModelParams) -> Iterator[Arc]:
     """All admissible arcs with both endpoints in the window, sorted."""
@@ -113,11 +109,6 @@ def crosses_set(a: Arc, s: ArcSet) -> bool:
     if any(cross(a, e) for e in s.explicit):
         return True
     return any(f.crossed_by(a, s.params) for f in s.families)
-
-
-def _align(x: int, t: int, n: int) -> int:
-    """Least admissible head of foot ``t`` that is at least ``x``."""
-    return x + (t + 1 - x) % n
 
 
 # The sweeps build their output arcs with tuple.__new__: t < u and the
@@ -148,10 +139,10 @@ def members_in_window(s: ArcSet, w: Window) -> list[Arc]:
         u = t + n + 1
         for a, b in heads:
             if a > u:
-                u = _align(a, t, n)
+                u = _first_from(a, t + 1, n)
             if u <= b:
                 out += [_make(Arc, (t, x)) for x in range(u, b + 1, n)]
-                u = _align(b + 1, t, n)
+                u = _first_from(b + 1, t + 1, n)
     return out
 
 
@@ -191,9 +182,9 @@ def nc_window(s: ArcSet, w: Window) -> list[Arc]:
                 break
             if a > u:
                 out += [_make(Arc, (t, x)) for x in range(u, a, n)]
-                u = _align(a, t, n)
+                u = _first_from(a, t + 1, n)
             if b >= u:
-                u = _align(b + 1, t, n)
+                u = _first_from(b + 1, t + 1, n)
         out += [_make(Arc, (t, x)) for x in range(u, top + 1, n)]
     return out
 

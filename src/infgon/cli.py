@@ -56,9 +56,16 @@ _ARC_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 MAX_WINDOW_WIDTH = 1000
 
 
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than the interpreter converts (4300 by default)
+        raise InfgonError(f"a number of {len(digits.lstrip('-'))} digits is too long") from None
+
+
 def _parse_window(text: str) -> Window:
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
-    lo, hi = map(int, m.groups()) if m else (0, 0)
+    lo, hi = map(_int, m.groups()) if m else (0, 0)
     if lo >= hi:
         raise InfgonError(f"bad window {text!r}; expected LO..HI with LO < HI, e.g. -20..20")
     if hi - lo > MAX_WINDOW_WIDTH:
@@ -70,7 +77,7 @@ def _parse_arcs(text: str) -> list[Arc]:
     pairs = _ARC_RE.findall(text)
     if not pairs or _ARC_RE.sub("", text).strip(" ,;"):
         raise InfgonError(f"bad arc list {text!r}; expected e.g. \"(2,9) (-1,6)\"")
-    arcs = [normalize(int(t), int(u)) for t, u in pairs]
+    arcs = [normalize(_int(t), _int(u)) for t, u in pairs]
     if len(arcs) != 2:
         raise InfgonError(f"expected 2 arcs, got {len(arcs)} in {text!r}")
     return arcs
@@ -85,7 +92,11 @@ def _encode_witness(w: object) -> object:
 
 
 def _region_json(reg) -> dict:
-    return {key: sorted(getattr(reg, key)) for key in ("points", "left_rays", "right_rays")}
+    return {
+        "points": sorted(reg.points),
+        "left_rays": [] if reg.left_max is None else [reg.left_max],
+        "right_rays": [] if reg.right_min is None else [reg.right_min],
+    }
 
 
 @dataclass
@@ -176,7 +187,7 @@ def _mutate(a, c) -> Report:
         raise InfgonError(
             "pair fails its verification report; pass --force to mutate anyway"
         ) from exc
-    shrunk = c.w.shrink(d.span() + 1)
+    shrunk = rep.window
     lines = []
     for name, s in ((a.x, x2), (a.y, y2)):
         lines.append(f"rotated {name} on [{shrunk.lo}, {shrunk.hi}]:")

@@ -40,6 +40,7 @@ class PairReport:
     y_equals_nc_x: Condition
     x_contravariant: Condition
     y_covariant: Condition
+    window: Window  # the window the two set equalities were decided on
 
     @property
     def verdict(self) -> bool:
@@ -104,7 +105,7 @@ def check_pair(
         "exact",
         () if fy.covariant_ok else (fy.covariant_witness,),
     )
-    return PairReport(cond1, cond2, cond3, cond4)
+    return PairReport(cond1, cond2, cond3, cond4, w)
 
 
 def core(x: ArcSet, y: ArcSet, w: Window, *, enforce_margin: bool = True) -> list[Arc]:

@@ -26,6 +26,9 @@ on.  ``member_feet()`` gives the closed interval of feet outside which
 
 ``crossed_by`` and ``members_in`` are thin wrappers over the per-foot
 methods, and the closure sweeps in :mod:`infgon.arcsets` read them directly.
+:func:`_first_from` is the package's one residue rule, shared by the sweeps
+and the family rotation in :mod:`infgon.mutation`, which keys each kind's
+rotation rule by ``kind``.
 ``is_member`` stays a direct test, so the brute-force references in
 :mod:`infgon.oracles` do not depend on the per-foot methods.  Each kind also
 gives its fountain-locus contribution, and every predicate is pinned against

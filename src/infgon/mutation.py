@@ -22,14 +22,15 @@ one bisection each, and an endpoint outside the index takes rule 3 at once.
 
 Every rotation goes through one kernel, :func:`_rotate_all`, which works on
 ``(t, u)`` integer pairs: :func:`rotate_arc` and :func:`rotate_arc_inverse`
-call it with one arc, :func:`rotate_set` with the explicit arcs and the fan
-members near the dividers, and the validation of the family rotation with
-every member on its window.  For each arc the kernel checks that the
-preimage is admissible (``NonAdmissible``), is not a divider and crosses no
-divider (``IncompatibleArc``), and that the image is admissible and crosses
-no divider (``NonAdmissibleImage``).  Rotation provably preserves
-admissibility and divider compatibility, so the image checks guard against
-internal errors, never recoverable conditions.
+call it with one arc, :func:`rotate_set` once with the explicit arcs and the
+family members near the dividers, and the validation of the family rotation
+with every member on its window.  Which family members are near is one rule
+per kind, in ``_SPLITS``, keyed by the family's ``kind``.  For each arc the
+kernel checks that the preimage is admissible (``NonAdmissible``), is not a
+divider and crosses no divider (``IncompatibleArc``), and that the image is
+admissible and crosses no divider (``NonAdmissibleImage``).  Rotation
+provably preserves admissibility and divider compatibility, so the image
+checks guard against internal errors, never recoverable conditions.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ from .errors import (
     UnsupportedFamilyGeometry,
     WindowTooSmall,
 )
-from .families import Band, Family, HalfLeft, HalfRight, LeftFan, RightFan, family_scalars
+from .families import (
+    Band, Family, HalfLeft, HalfRight, LeftFan, RightFan, _first_from, family_scalars
+)
 from .homs import ExtTriangle, ext_triangle
 
 __all__ = [
@@ -111,12 +114,6 @@ class DividerSet:
     def span(self) -> int:
         pts = self.endpoints()
         return pts[-1] - pts[0] if pts else 0
-
-    def starts_at(self, v: int) -> list[int]:
-        return list(self._starts.get(v, ()))
-
-    def ends_at(self, v: int) -> list[int]:
-        return list(self._ends.get(v, ()))
 
 
 def _pred(v: int, other: int, d: DividerSet) -> int:
@@ -218,93 +215,65 @@ def rotate_arc_inverse(a: Arc, d: DividerSet) -> Arc:
 #
 # An endpoint not incident to any divider arc always steps to v - 1, so a
 # family only misbehaves where a ranging endpoint meets divider endpoints.
-# Each kind is split into finitely many explicit arcs near the dividers plus
-# residual families whose members rotate uniformly; the split is exact and is
-# additionally checked against pointwise rotation on a validation window.
+# One rule per kind, in _SPLITS, splits a family into right fans (p, u_min),
+# left fans (p, s_max) and at most one leftover family far from the dividers,
+# whose members all step back by one.  Each fan's members near the dividers
+# are rotated as explicit arcs and the rest stay one fan.  The split is exact
+# and is additionally checked against pointwise rotation on a validation
+# window.
 
 
-def _fan_values(first: int, last: int, n: int) -> range:
-    """Integers in [first, last] stepping by n (empty when first > last)."""
-    return range(first, last + 1, n)
+def _shifted(f: Family) -> Family:
+    """``f`` with every member one step back: every defining integer - 1."""
+    return type(f)(*(v - 1 for v in family_scalars(f)))
 
 
-def _rotate_right_fan(
-    p: int, u_min: int, d: DividerSet
-) -> tuple[list[Arc], list[Family]]:
-    n = d.params.n
-    eff = max(u_min, p + 2) + (p + 1 - max(u_min, p + 2)) % n  # first member head
+def _split_band(f: Band, lo: int, hi: int):
+    k_rest = min(f.k_max, lo - 1)
+    return (
+        [(k, f.l_min) for k in range(lo, f.k_max + 1)],
+        [(l, k_rest) for l in range(f.l_min, hi + 1)],
+        [Band(k_rest, max(f.l_min, hi + 1))],
+    )
+
+
+# kind -> rule(f, lo, hi) -> (right-fan anchors, left-fan anchors, leftovers),
+# where [lo, hi] is the divider hull widened by n + 2 on each side
+_SPLITS = {
+    "right_fan": lambda f, lo, hi: ([(f.p, f.u_min)], [], []),
+    "left_fan": lambda f, lo, hi: ([], [(f.p, f.s_max)], []),
+    "band": _split_band,
+    "half_left": lambda f, lo, hi: (
+        [], [(h, h - 2) for h in range(lo, f.p + 1)], [HalfLeft(lo - 1)]),
+    "half_right": lambda f, lo, hi: (
+        [(q, q + 2) for q in range(f.q, hi + 1)], [], [HalfRight(hi + 1)]),
+}
+
+
+def _rotate_family(f: Family, d: DividerSet) -> tuple[list[tuple[int, int]], list[Family]]:
+    """The members of ``f`` to rotate one by one, and the families holding
+    the images of all the others."""
     pts = d.endpoints()
-    if not pts:
-        return [], [RightFan(p - 1, u_min - 1)]
-    top = max(max(pts), eff - 1) + n + 2
-    members = ((p, u) for u in _fan_values(eff, top, n) if (p, u) not in d.arcs)
-    # beyond top, every member's anchor steps as the anchor of (p, top) does
-    return _rotate_all(members, d, _pred), [RightFan(_pred(p, top, d), top)]
-
-
-def _rotate_left_fan(
-    p: int, s_max: int, d: DividerSet
-) -> tuple[list[Arc], list[Family]]:
-    n = d.params.n
-    eff = min(s_max, p - 2) - (min(s_max, p - 2) - (p - 1)) % n  # last member foot
-    pts = d.endpoints()
-    if not pts:
-        return [], [LeftFan(p - 1, s_max - 1)]
-    bottom = min(min(pts), eff + 1) - n - 2
-    feet = _fan_values(bottom + (eff - bottom) % n, eff, n)
-    members = ((s, p) for s in feet if (s, p) not in d.arcs)
-    # below bottom, every member's anchor steps as the anchor of (bottom, p) does
-    return _rotate_all(members, d, _pred), [LeftFan(_pred(p, bottom, d), bottom - 2)]
-
-
-def _rotate_family(fam: Family, d: DividerSet) -> tuple[list[Arc], list[Family]]:
-    pts = d.endpoints()
-    guard = d.params.n + 2
-    if isinstance(fam, RightFan):
-        return _rotate_right_fan(fam.p, fam.u_min, d)
-    if isinstance(fam, LeftFan):
-        return _rotate_left_fan(fam.p, fam.s_max, d)
-    if isinstance(fam, Band):
-        if not pts:
-            return [], [Band(fam.k_max - 1, fam.l_min - 1)]
-        lo_cut = min(pts) - guard
-        hi_cut = max(pts) + guard
-        images: list[Arc] = []
-        fams: list[Family] = []
-        for k in range(lo_cut, fam.k_max + 1):
-            ims, fs = _rotate_right_fan(k, fam.l_min, d)
-            images += ims
-            fams += fs
-        k_rest = min(fam.k_max, lo_cut - 1)
-        for l in range(fam.l_min, hi_cut + 1):
-            ims, fs = _rotate_left_fan(l, k_rest, d)
-            images += ims
-            fams += fs
-        fams.append(Band(k_rest - 1, max(fam.l_min, hi_cut + 1) - 1))
-        return images, fams
-    if isinstance(fam, HalfLeft):
-        if not pts or min(pts) > fam.p:
-            return [], [HalfLeft(fam.p - 1)]
-        lo_cut = min(pts) - guard
-        images, fams = [], []
-        for head in range(lo_cut, fam.p + 1):
-            ims, fs = _rotate_left_fan(head, head - 2, d)
-            images += ims
-            fams += fs
-        fams.append(HalfLeft(lo_cut - 2))
-        return images, fams
-    if isinstance(fam, HalfRight):
-        if not pts or max(pts) < fam.q:
-            return [], [HalfRight(fam.q - 1)]
-        hi_cut = max(pts) + guard
-        images, fams = [], []
-        for foot in range(fam.q, hi_cut + 1):
-            ims, fs = _rotate_right_fan(foot, foot + 2, d)
-            images += ims
-            fams += fs
-        fams.append(HalfRight(hi_cut))
-        return images, fams
-    raise UnsupportedFamilyGeometry(f"no rotation rule for family {fam!r}")
+    if (not pts or f.kind == "half_left" and f.p < pts[0]
+            or f.kind == "half_right" and f.q > pts[-1]):  # no member meets a divider
+        return [], [_shifted(f)]
+    n, lo, hi = d.params.n, pts[0], pts[-1]
+    rights, lefts, rest = _SPLITS[f.kind](f, lo - n - 2, hi + n + 2)
+    members: list[tuple[int, int]] = []
+    fams = [_shifted(g) for g in rest]
+    for p, u_min in rights:
+        first = _first_from(max(u_min, p + 2), p + 1, n)  # first member head
+        top = max(hi, first - 1) + n + 2
+        members += [(p, u) for u in range(first, top + 1, n)]
+        # beyond top, every member's anchor steps as the anchor of (p, top) does
+        fams.append(RightFan(_pred(p, top, d), top))
+    for p, s_max in lefts:
+        last = _first_from(min(s_max, p - 2) - n + 1, p - 1, n)  # last member foot
+        bottom = min(lo, last + 1) - n - 2
+        members += [(s, p) for s in range(_first_from(bottom, p - 1, n), last + 1, n)]
+        # below bottom, every member's anchor steps as the anchor of (bottom, p) does
+        fams.append(LeftFan(_pred(p, bottom, d), bottom - 2))
+    return members, fams
 
 
 def _validate_rotation(x: ArcSet, d: DividerSet, result: ArcSet) -> None:
@@ -343,12 +312,13 @@ def rotate_set(x: ArcSet, d: DividerSet) -> ArcSet:
             raise DNotInFrame(f"divider arc {b} is not a member of the set")
         if crosses_set(b, x):
             raise DNotInFrame(f"divider arc {b} crosses a member of the set")
-    images = set(_rotate_all((a for a in x.explicit if a not in d.arcs), d, _pred))
+    members: list[tuple[int, int]] = list(x.explicit)
     fams: list[Family] = []
     for fam in x.families:
-        ims, fs = _rotate_family(fam, d)
-        images.update(ims)
+        ms, fs = _rotate_family(fam, d)
+        members += ms
         fams += fs
+    images = _rotate_all((m for m in members if m not in d.arcs), d, _pred)
     result = ArcSet(
         x.params,
         frozenset(images) | d.arcs,

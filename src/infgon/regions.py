@@ -1,15 +1,15 @@
 """Exact subsets of the integers built from points and half-infinite rays.
 
 Fountain loci are always of this shape: finitely many isolated points plus
-rays ``(-inf, p]`` and ``[q, inf)``.  Regions are canonical on construction
-(rays merged per side, points absorbed into rays), so membership and subset
-tests are exact and cheap.
+at most one ray ``(-inf, left_max]`` and at most one ray ``[right_min, inf)``.
+Regions are canonical on construction (rays merged per side, points absorbed
+into rays), so membership and subset tests are exact and cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = ["IntRegion"]
 
@@ -17,8 +17,8 @@ __all__ = ["IntRegion"]
 @dataclass(frozen=True)
 class IntRegion:
     points: frozenset[int]
-    left_rays: frozenset[int]  # each p stands for (-inf, p]
-    right_rays: frozenset[int]  # each q stands for [q, inf)
+    left_max: int | None  # the ray (-inf, left_max], if any
+    right_min: int | None  # the ray [right_min, inf), if any
 
     @staticmethod
     def of(
@@ -26,29 +26,19 @@ class IntRegion:
         left_rays: Iterable[int] = (),
         right_rays: Iterable[int] = (),
     ) -> "IntRegion":
-        left = {max(left_rays)} if left_rays else set()
-        right = {min(right_rays)} if right_rays else set()
-        lmax = max(left) if left else None
-        rmin = min(right) if right else None
+        lmax = max(left_rays, default=None)
+        rmin = min(right_rays, default=None)
         pts = {
             x
             for x in points
             if not (lmax is not None and x <= lmax)
             and not (rmin is not None and x >= rmin)
         }
-        return IntRegion(frozenset(pts), frozenset(left), frozenset(right))
+        return IntRegion(frozenset(pts), lmax, rmin)
 
     @staticmethod
     def empty() -> "IntRegion":
         return IntRegion.of()
-
-    @property
-    def left_max(self) -> int | None:
-        return max(self.left_rays) if self.left_rays else None
-
-    @property
-    def right_min(self) -> int | None:
-        return min(self.right_rays) if self.right_rays else None
 
     def __contains__(self, x: int) -> bool:
         if x in self.points:
@@ -60,13 +50,13 @@ class IntRegion:
         return rmin is not None and x >= rmin
 
     def is_empty(self) -> bool:
-        return not (self.points or self.left_rays or self.right_rays)
+        return not self.points and self.left_max is None and self.right_min is None
 
     def union(self, other: "IntRegion") -> "IntRegion":
         return IntRegion.of(
             self.points | other.points,
-            self.left_rays | other.left_rays,
-            self.right_rays | other.right_rays,
+            {self.left_max, other.left_max} - {None},
+            {self.right_min, other.right_min} - {None},
         )
 
     def uncovered_witness(self, other: "IntRegion") -> int | None:
@@ -74,42 +64,23 @@ class IntRegion:
         for x in sorted(self.points):
             if x not in other:
                 return x
-        lmax = self.left_max
-        if lmax is not None:
-            floor = other.left_max
-            if floor is None:
-                # Our ray escapes downward: walk below other's right ray and
-                # its finitely many points.
-                x = lmax
-                rmin = other.right_min
-                if rmin is not None and x >= rmin:
-                    x = rmin - 1
-                while x in other.points:
-                    x -= 1
-                return x
-            for x in range(lmax, floor, -1):
+        if self.left_max is not None:  # walk down our left ray
+            x, floor = self.left_max, other.left_max
+            if floor is None and other.right_min is not None:
+                x = min(x, other.right_min - 1)  # below other's right ray at once
+            while floor is None or x > floor:  # no floor: other has finitely many points
                 if x not in other:
                     return x
-        rmin = self.right_min
-        if rmin is not None:
-            ceil = other.right_min
-            if ceil is None:
-                x = rmin
-                olmax = other.left_max
-                if olmax is not None and x <= olmax:
-                    x = olmax + 1
-                while x in other.points:
-                    x += 1
-                return x
-            for x in range(rmin, ceil):
+                x -= 1
+        if self.right_min is not None:  # walk up our right ray
+            x, ceil = self.right_min, other.right_min
+            if ceil is None and other.left_max is not None:
+                x = max(x, other.left_max + 1)
+            while ceil is None or x < ceil:
                 if x not in other:
                     return x
+                x += 1
         return None
 
     def issubset(self, other: "IntRegion") -> bool:
         return self.uncovered_witness(other) is None
-
-    def iter_in(self, lo: int, hi: int) -> Iterator[int]:
-        for x in range(lo, hi + 1):
-            if x in self:
-                yield x

@@ -331,3 +331,28 @@ def test_window_wider_than_the_limit_is_an_input_error(capsys):
         assert_input_error(code, err)
         assert out == "" and window in err and str(MAX_WINDOW_WIDTH) in err
     assert _parse_window(f"0..{MAX_WINDOW_WIDTH}") == Window(0, MAX_WINDOW_WIDTH)
+
+
+HUGE = "9" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nc", "--input", EXAMPLE, "--set", "X", "--window", f"1..{HUGE}"],
+        ["ext", "--n", "3", "--arcs", f"(1,{HUGE}) (2,9)", "--degree", "1"],
+    ],
+    ids=["window", "arcs"],
+)
+def test_number_past_the_digit_limit_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert_input_error(code, err)
+    assert out == "" and "5000 digits" in err
+
+
+def test_input_document_with_a_number_past_the_digit_limit_is_an_input_error(capsys, tmp_path):
+    doc = tmp_path / "huge.json"
+    doc.write_text(f'{{"n": 3, "sets": {{"A": {{"explicit": [[1, {HUGE}]]}}}}}}')
+    code, out, err = run(capsys, "nc", "--input", str(doc), "--set", "A", "--window", "-5..5")
+    assert_input_error(code, err)
+    assert out == "" and "too long" in err

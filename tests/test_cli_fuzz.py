@@ -3,8 +3,10 @@
 Argument vectors are drawn from the command table: every declared option of a
 command gets a valid or an invalid value of its kind (set names, windows, arc
 lists, integers, choices), plus the common ``--input`` / ``--n`` /
-``--format``.  Whatever comes out, the exit code is 0, 1 or 2, exit 1 only
-comes with a failed verdict, and nothing escapes as an exception.
+``--format``.  Invalid values include a number of 5,000 digits, more than
+``int()`` converts, in a window, an arc list and an input document.
+Whatever comes out, the exit code is 0, 1 or 2, exit 1 only comes with a
+failed verdict, and nothing escapes as an exception.
 
 Windows stay inside [-30, 30] (``oracle`` inside [-6, 6], since its
 brute-force sweeps grow with the fourth power of the width), moduli at most
@@ -27,13 +29,20 @@ from infgon.cli import COMMANDS, main
 
 EXAMPLE = str(Path(__file__).resolve().parent.parent / "demos" / "example_sets.json")
 SET_NAMES = ["X", "Y", "Ync", "D", "P", "NOPE", ""]
+HUGE = "9" * 5000
 
 
 @pytest.fixture(scope="module")
-def bad_input(tmp_path_factory) -> str:
-    path = tmp_path_factory.mktemp("fuzz") / "bad.json"
-    path.write_text("{broken")
-    return str(path)
+def bad_inputs(tmp_path_factory) -> dict[str, str]:
+    """Input documents by name: malformed JSON, and a number past the digit limit."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    texts = {
+        "bad": "{broken",
+        "huge": f'{{"n": 3, "sets": {{"X": {{"explicit": [[1, {HUGE}]]}}}}}}',
+    }
+    for name, text in texts.items():
+        (folder / f"{name}.json").write_text(text)
+    return {name: str(folder / f"{name}.json") for name in texts}
 
 
 def mostly(valid: st.SearchStrategy, invalid: st.SearchStrategy) -> st.SearchStrategy:
@@ -46,7 +55,7 @@ def windows(bound: int) -> st.SearchStrategy[str]:
         st.builds(lambda lo, hi: f"{lo}..{hi}", st.integers(-bound, -1), st.integers(1, bound)),
         st.one_of(
             st.builds(lambda lo, hi: f"{lo}..{hi}", st.integers(0, bound), st.integers(-bound, 0)),
-            st.sampled_from(["", "abc", "5..", "..5", "1...4"]),
+            st.sampled_from(["", "abc", "5..", "..5", "1...4", f"1..{HUGE}"]),
         ),
     )
 
@@ -61,7 +70,7 @@ def arc_lists(n: int) -> st.SearchStrategy[str]:
         st.lists(admissible, min_size=2, max_size=2).map(" ".join),
         st.one_of(
             st.lists(st.builds(lambda t, u: f"({t},{u})", ends, ends), max_size=3).map(" ".join),
-            st.sampled_from(["nonsense", "(1,5", "(a,b) (1,5)"]),
+            st.sampled_from(["nonsense", "(1,5", "(a,b) (1,5)", f"(1,{HUGE}) (2,9)"]),
         ),
     )
 
@@ -95,7 +104,7 @@ def argvs(draw) -> list[str]:
             argv.append(flag)
         elif value is not False:
             argv += [flag, value]
-    source = draw(mostly(st.just("example"), st.sampled_from(["bad", None])))
+    source = draw(mostly(st.just("example"), st.sampled_from(["bad", "huge", None])))
     if source is not None:
         argv += ["--input", source]
     if n is not None:
@@ -113,8 +122,11 @@ _PAIR = ["--input", "example", "--window", "-20..20", "--format", "json"]
 @example(argv=["mutate", "--x", "X", "--y", "Ync", "--d", "D", *_PAIR])
 @example(argv=["mutate", "--x", "X", "--y", "Y", "--d", "D", "--force", *_PAIR])
 @example(argv=["ptolemy", "--set", "Y", *_PAIR])
-def test_exit_code_contract(argv, bad_input):
-    argv = [EXAMPLE if a == "example" else bad_input if a == "bad" else a for a in argv]
+@example(argv=["nc", "--set", "X", "--window", f"1..{HUGE}", "--input", "example"])
+@example(argv=["ext", "--arcs", f"(1,{HUGE}) (2,9)", "--degree", "1", "--n", "3"])
+@example(argv=["nc", "--set", "X", "--window", "-5..5", "--input", "huge"])
+def test_exit_code_contract(argv, bad_inputs):
+    argv = [EXAMPLE if a == "example" else bad_inputs.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -39,6 +39,11 @@ def test_parse_errors():
         parse_document(b'{"n": 0, "sets": {}}')
 
 
+
+def test_integer_past_the_digit_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match="too long"):
+        parse_document('{"n": 3, "sets": {"A": {"explicit": [[1, %s]]}}}' % ("9" * 5000))
+
 def test_validation_errors_carry_locus():
     with pytest.raises(ValidationError, match=r"sets\.A\.explicit\[0\].*admissible"):
         parse_document(json.dumps({"n": 3, "sets": {"A": {"explicit": [[3, 6]]}}}))

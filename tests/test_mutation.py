@@ -14,6 +14,7 @@ from infgon import (
     RightFan,
     Window,
     admissible_arcs_in,
+    check_pair,
     contains,
     cross,
     frame,
@@ -287,6 +288,12 @@ def test_mutate_pair_passes_on_shrunk_window():
     # frame of the mutated set is the rotated frame
     shrunk = W.shrink(D1.span() + 1)
     assert frame(x2, shrunk) == sorted(x2.explicit)
+
+
+def test_mutate_pair_reports_the_window_it_decided_on():
+    _, _, rep = mutate_pair(GOOD_X, GOOD_Y, D1, W)
+    assert rep.window == W.shrink(D1.span() + 1)
+    assert check_pair(GOOD_X, GOOD_Y, W).window == W
 
 
 def test_mutate_pair_rejects_divider_outside_core():

@@ -21,8 +21,8 @@ def points_of(r: IntRegion) -> set[int]:
 
 def test_canonicalization():
     r = IntRegion.of(points=[3, -10, 0], left_rays=[-8, -5], right_rays=[7, 9])
-    assert r.left_rays == frozenset({-5})
-    assert r.right_rays == frozenset({7})
+    assert r.left_max == -5
+    assert r.right_min == 7
     assert r.points == frozenset({0, 3})  # -10 absorbed left, 9 absorbed right
 
 
@@ -56,8 +56,3 @@ def test_union_is_pointwise(a, b):
     assert (u.right_min is not None) == (
         a.right_min is not None or b.right_min is not None
     )
-
-
-@given(regions)
-def test_iter_in_matches_membership(a):
-    assert list(a.iter_in(-25, 25)) == [x for x in range(-25, 26) if x in a]
