@@ -5,16 +5,19 @@ symbolic families, so membership, "does this arc cross the set", fountain
 loci and window enumerations are all decided exactly; only *listings* are
 truncated to a :class:`Window`.
 
-The two listings, :func:`nc_window` and :func:`members_in_window`, are one
-sweep over the feet ``t`` of the window.  For a fixed foot every constraint
-is an interval of heads ``u``: an explicit arc ``(r, v)`` blocks ``u > v``
-when ``r < t < v`` and ``r < u < v`` when ``t < r``, and each family states
-its blocked and member heads per foot (see :mod:`infgon.families`).
-``members_in_window`` visits each family only on its foot interval
-(``member_feet``): a right fan costs one foot, not the whole window.  Merging
-the intervals and stepping through the admissible heads costs
-O(W * (m + f) + output) for window width W, m explicit arcs and f families,
-against O(W^2 / n * (m + f)) for testing every candidate arc.  The
+Each closure of a window is one sweep over its feet ``t``, :func:`member_runs`
+or :func:`nc_runs`.  For a fixed foot every constraint is an interval of
+heads ``u``: an explicit arc ``(r, v)`` blocks ``u > v`` when ``r < t < v``
+and ``r < u < v`` when ``t < r``, and each family states its blocked and
+member heads per foot (see :mod:`infgon.families`).  ``member_runs`` visits
+each family only on its foot interval (``member_feet``) and keeps only the
+feet that carry a head.  Merging the intervals gives each foot's heads as
+canonical runs (:data:`Runs`), the sweeps' only output, in O(W * (m + f))
+for window width W, m explicit arcs and f families, whatever the closure's
+size.  Closures are compared and intersected run by run at that cost
+(:func:`runs_symmetric_difference`, :func:`runs_intersection`); the listings
+:func:`members_in_window` and :func:`nc_window` expand the runs, O(output)
+more.  Testing every candidate arc costs O(W^2 / n * (m + f)); those
 candidate-filter versions are kept, frozen, as the brute-force references
 ``nc_window_brute`` and ``members_in_window_brute`` in :mod:`infgon.oracles`.
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .arcs import Arc, ModelParams, cross, is_admissible, require_admissible
@@ -35,6 +39,7 @@ __all__ = [
     "ArcSet",
     "FinitenessReport",
     "PtolemyReport",
+    "Runs",
     "Window",
     "admissible_arcs_in",
     "contains",
@@ -45,8 +50,12 @@ __all__ = [
     "frame",
     "in_nc_nc",
     "is_ptolemy_window",
+    "member_runs",
     "members_in_window",
+    "nc_runs",
     "nc_window",
+    "runs_intersection",
+    "runs_symmetric_difference",
 ]
 
 
@@ -116,49 +125,67 @@ def crosses_set(a: Arc, s: ArcSet) -> bool:
 _make = tuple.__new__
 
 
-def members_in_window(s: ArcSet, w: Window) -> list[Arc]:
-    """Members of ``s`` with both endpoints in ``w``, sorted, deduplicated."""
+# The canonical head runs of a foot t: sorted ``(first, stop)`` pairs, each
+# the heads first, first + n, ... below stop, with first < stop both on the
+# progression u = t + 1 (mod n), and every stop below the next run's first.
+# Two feet hold the same heads exactly when their runs are equal.  ``Runs``
+# maps each foot that has a head to its runs.
+Runs = dict[int, list[tuple[int, int]]]
+
+
+def _add_run(runs: list[tuple[int, int]], first: int, stop: int) -> None:
+    """Append the run [first, stop), merged into a run that stops at first."""
+    if runs and runs[-1][1] == first:
+        runs[-1] = (runs[-1][0], stop)
+    else:
+        runs.append((first, stop))
+
+
+def member_runs(s: ArcSet, w: Window) -> Runs:
+    """The heads of the members of ``s`` inside ``w``, as runs on the feet
+    that carry one: a family far from the members costs nothing per foot."""
     n, lo, hi = s.params.n, w.lo, w.hi
     last = hi - 2  # the last foot with a head in the window
-    per_foot: list[list[tuple[int, int]]] = [[] for _ in range(lo, last + 1)]
+    per_foot: dict[int, list[tuple[int, int]]] = {}
     for r, v in s.explicit:
         if lo <= r and v <= hi:
-            per_foot[r - lo].append((v, v))
+            per_foot.setdefault(r, []).append((v, v))
     for f in s.families:  # each family visits only the feet it has members on
         first, stop = f.member_feet()
         first = lo if first is None else max(first, lo)
         stop = last if stop is None else min(stop, last)
         for t in range(first, stop + 1):
             for a, b in f.member_heads(t, n):
-                per_foot[t - lo].append((a, hi if b is None or b > hi else b))
-    out: list[Arc] = []
-    for t, heads in enumerate(per_foot, lo):
-        if not heads:
-            continue
+                per_foot.setdefault(t, []).append((a, hi if b is None or b > hi else b))
+    out: Runs = {}
+    for t in sorted(per_foot):
+        heads = per_foot[t]
         heads.sort()
+        runs: list[tuple[int, int]] = []
         u = t + n + 1
         for a, b in heads:
             if a > u:
                 u = _first_from(a, t + 1, n)
             if u <= b:
-                out += [_make(Arc, (t, x)) for x in range(u, b + 1, n)]
-                u = _first_from(b + 1, t + 1, n)
+                stop = _first_from(b + 1, t + 1, n)
+                _add_run(runs, u, stop)
+                u = stop
+        if runs:
+            out[t] = runs
     return out
 
 
-def nc_window(s: ArcSet, w: Window) -> list[Arc]:
-    """The non-crossing closure of ``s`` restricted to the window.
-
-    Pointwise decisions are exact (tested against the full symbolic set);
-    only the enumeration is truncated.
-    """
+def nc_runs(s: ArcSet, w: Window) -> Runs:
+    """The heads of the non-crossing closure of ``s`` inside ``w``, as runs
+    per foot.  Pointwise decisions are exact (tested against the full
+    symbolic set); only the window truncates."""
     n, hi, fams = s.params.n, w.hi, s.families
     arcs = sorted(s.explicit)
     feet = [r for r, _ in arcs]
     inside = [(r + 1, v - 1) for r, v in arcs]  # heads blocked by (r, v) when t < r
     spanning: list[int] = []  # min-heap of heads v of the arcs (r, v) with r < t
     entered = 0
-    out: list[Arc] = []
+    out: Runs = {}
     for t in range(w.lo, hi - 1):
         while entered < len(arcs) and feet[entered] < t:
             heappush(spanning, arcs[entered][1])
@@ -177,16 +204,73 @@ def nc_window(s: ArcSet, w: Window) -> list[Arc]:
         if u > top:
             continue
         blocked.sort()
+        runs: list[tuple[int, int]] = []
         for a, b in blocked:
             if a > top:
                 break
             if a > u:
-                out += [_make(Arc, (t, x)) for x in range(u, a, n)]
-                u = _first_from(a, t + 1, n)
+                stop = _first_from(a, t + 1, n)
+                _add_run(runs, u, stop)
+                u = stop
             if b >= u:
                 u = _first_from(b + 1, t + 1, n)
-        out += [_make(Arc, (t, x)) for x in range(u, top + 1, n)]
+        if u <= top:
+            _add_run(runs, u, _first_from(top + 1, t + 1, n))
+        if runs:
+            out[t] = runs
     return out
+
+
+def _arcs(runs: Iterable[tuple[int, list[tuple[int, int]]]], n: int) -> list[Arc]:
+    """The arcs of ``(foot, runs)`` pairs, in the order given."""
+    out: list[Arc] = []
+    for t, foot_runs in runs:
+        feet = repeat(t)
+        for a, b in foot_runs:
+            out += map(_make, repeat(Arc), zip(feet, range(a, b, n)))
+    return out
+
+
+def _xor(p: list[tuple[int, int]], q: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The heads in exactly one of two runs of a foot, as runs: a head is in
+    the difference when an odd number of the runs' ends lie at or below it."""
+    cuts = sorted(x for run in p + q for x in run)
+    return [(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if a < b]
+
+
+def _meet(p: list[tuple[int, int]], q: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The heads in both runs of a foot, as runs."""
+    out, i, j = [], 0, 0
+    while i < len(p) and j < len(q):
+        a, b = max(p[i][0], q[j][0]), min(p[i][1], q[j][1])
+        if a < b:
+            out.append((a, b))
+        i, j = (i + 1, j) if p[i][1] < q[j][1] else (i, j + 1)
+    return out
+
+
+def runs_symmetric_difference(lhs: Runs, rhs: Runs, n: int) -> list[Arc]:
+    """The arcs in exactly one of two run maps, sorted.  Arcs are built only
+    on the feet whose runs differ."""
+    if lhs == rhs:
+        return []
+    feet = sorted(t for t in lhs.keys() | rhs.keys() if lhs.get(t) != rhs.get(t))
+    return _arcs(((t, _xor(lhs.get(t, []), rhs.get(t, []))) for t in feet), n)
+
+
+def runs_intersection(lhs: Runs, rhs: Runs, n: int) -> list[Arc]:
+    """The arcs in both run maps, sorted."""
+    return _arcs(((t, _meet(r, rhs[t])) for t, r in lhs.items() if t in rhs), n)
+
+
+def members_in_window(s: ArcSet, w: Window) -> list[Arc]:
+    """Members of ``s`` with both endpoints in ``w``, sorted, deduplicated."""
+    return _arcs(member_runs(s, w).items(), s.params.n)
+
+
+def nc_window(s: ArcSet, w: Window) -> list[Arc]:
+    """The non-crossing closure of ``s`` restricted to the window, sorted."""
+    return _arcs(nc_runs(s, w).items(), s.params.n)
 
 
 def fountain_loci(s: ArcSet) -> tuple[IntRegion, IntRegion]:

@@ -5,12 +5,12 @@ Exit codes: 0 success / check passed, 1 check failed (witnesses printed),
 validating against :data:`infgon.documents.REPORT_SCHEMA`.
 
 Every command is one row of :data:`COMMANDS`: help text, what it needs,
-options (see :func:`_opt`) and a handler.  One shared path, :func:`_run`,
-validates ``--n``, loads the document, reads the options, builds the report's
-``inputs`` from them plus ``n``, and emits text or JSON.  A handler
-``run(args, ctx)`` only computes a :class:`Report`; ``ctx`` holds the document
-``doc``, the modulus ``p``, the window ``w``, the ``arcs`` and, under each
-set-name option's name, its arc set.
+options (see :func:`_opt`), a handler and the widest ``--window`` it takes.
+One shared path, :func:`_run`, validates ``--n``, loads the document, reads
+the options, builds the report's ``inputs`` from them plus ``n``, and emits
+text or JSON.  A handler ``run(args, ctx)`` only computes a :class:`Report`;
+``ctx`` holds the document ``doc``, the modulus ``p``, the window ``w``, the
+``arcs`` and, under each set-name option's name, its arc set.
 """
 
 from __future__ import annotations
@@ -63,13 +63,13 @@ def _int(digits: str) -> int:
         raise InfgonError(f"a number of {len(digits.lstrip('-'))} digits is too long") from None
 
 
-def _parse_window(text: str) -> Window:
+def _parse_window(text: str, max_width: int = MAX_WINDOW_WIDTH) -> Window:
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
     lo, hi = map(_int, m.groups()) if m else (0, 0)
     if lo >= hi:
         raise InfgonError(f"bad window {text!r}; expected LO..HI with LO < HI, e.g. -20..20")
-    if hi - lo > MAX_WINDOW_WIDTH:
-        raise InfgonError(f"window {text!r} is wider than {MAX_WINDOW_WIDTH}")
+    if hi - lo > max_width:
+        raise InfgonError(f"window {text!r} is wider than {max_width}")
     return Window(lo, hi)
 
 
@@ -256,6 +256,7 @@ class Command(NamedTuple):
     needs: str | None  # None, "n" (from --n or --input) or "doc" (from --input)
     options: tuple
     run: Callable[..., Report]
+    max_width: int = MAX_WINDOW_WIDTH  # widest accepted --window
 
 
 COMMANDS: dict[str, Command] = {
@@ -284,7 +285,8 @@ COMMANDS: dict[str, Command] = {
                       (_opt("--window", "window", default="-12..12"),
                        _opt("--fuzz-cases", type=int, default=200),
                        _opt("--seed", type=int, default=0)),
-                      _oracle),
+                      # the sweeps are quartic in the width: 64 takes about 17 s at n = 1
+                      _oracle, max_width=64),
     "render": Command("draw sets as SVG or a text grid", "doc",
                       (_opt("--sets", help="comma-separated set names (default: all)"),
                        _opt("--highlight", "set", help="set drawn in a distinct stroke"),
@@ -337,7 +339,7 @@ def _run(name: str, a: argparse.Namespace) -> int:
         if kind == "set" and value is not None:
             setattr(c, dest, c.doc.require(value))
         elif kind == "window":
-            c.w = _parse_window(value)
+            c.w = _parse_window(value, cmd.max_width)
             value = [c.w.lo, c.w.hi]
         inputs[dest] = value
     rep = cmd.run(a, c)

@@ -5,7 +5,8 @@ import jsonschema
 import pytest
 
 from infgon.arcsets import Window
-from infgon.cli import MAX_WINDOW_WIDTH, _parse_window, main
+from infgon import cli
+from infgon.cli import COMMANDS, MAX_WINDOW_WIDTH, _parse_window, main
 from infgon.documents import REPORT_SCHEMA
 
 EXAMPLE = str(Path(__file__).resolve().parent.parent / "demos" / "example_sets.json")
@@ -331,6 +332,17 @@ def test_window_wider_than_the_limit_is_an_input_error(capsys):
         assert_input_error(code, err)
         assert out == "" and window in err and str(MAX_WINDOW_WIDTH) in err
     assert _parse_window(f"0..{MAX_WINDOW_WIDTH}") == Window(0, MAX_WINDOW_WIDTH)
+
+
+def test_oracle_window_wider_than_its_limit_is_an_input_error(capsys, monkeypatch):
+    limit = COMMANDS["oracle"].max_width
+    assert limit == 64 < MAX_WINDOW_WIDTH
+    monkeypatch.setattr(cli, "cross_ext_mismatches", lambda *a: pytest.fail("a sweep ran"))
+    for window in (f"0..{limit + 1}", f"-40..{MAX_WINDOW_WIDTH - 40}"):
+        code, out, err = run(capsys, "oracle", "--n", "1", "--window", window)
+        assert_input_error(code, err)
+        assert out == "" and window in err and str(limit) in err
+    assert _parse_window(f"-32..{limit - 32}", limit) == Window(-32, limit - 32)
 
 
 HUGE = "9" * 5000  # more digits than int() converts by default

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -38,6 +39,7 @@ from infgon.errors import (
     NonAdmissible,
     PairCheckFailed,
 )
+from infgon import mutation
 from infgon.mutation import _pred, _rotate_all, _succ
 from infgon.oracles import (
     random_divider_case,
@@ -341,3 +343,28 @@ def test_mutation_via_triangle_middles_stay_in_divider():
         assert all(m in d.arcs for m in res.via_triangle.middles())
         assert res.via_triangle.left == a
         assert res.via_triangle.right == res.image
+
+
+def test_rotation_with_a_far_family_scalar_is_cheap(monkeypatch):
+    """The rotation check still spans every family scalar, here a fan a
+    million feet away, but only the feet that carry members cost anything."""
+    p, far = ModelParams(3), -1_000_000
+    x = ArcSet.of(p, [Arc(-4, 6)], [RightFan(far, 6)])
+    d = DividerSet.of(p, [Arc(-4, 6)])
+    windows = []
+
+    def spy(s, w):
+        windows.append(w)
+        return members_in_window(s, w)
+
+    monkeypatch.setattr(mutation, "members_in_window", spy)
+    tracemalloc.start()
+    try:
+        got = rotate_set(x, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.explicit == {Arc(far - 1, -4), Arc(far - 1, 8), Arc(-4, 6)}
+    assert got.families == (RightFan(far - 1, 11),)
+    assert min(w.lo for w in windows) < far  # the check's window still reaches the fan
+    assert peak < 8 * 2**20

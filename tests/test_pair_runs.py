@@ -1,0 +1,117 @@
+"""``check_pair`` and ``core`` compare closures as per-foot head runs; here
+they are held against the frozen brute-force listings, compared as plain
+sets of arcs."""
+
+import random
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from infgon import (
+    Arc,
+    ArcSet,
+    DividerSet,
+    Window,
+    check_pair,
+    contains,
+    core,
+    finiteness_check,
+    mutate_pair,
+    rotate_set,
+)
+from infgon.documents import parse_document
+from infgon.families import family_scalars
+from infgon.oracles import members_in_window_brute, nc_window_brute, random_family_rotation_case
+
+DEMO = Path(__file__).resolve().parent.parent / "demos" / "example_sets.json"
+
+
+@lru_cache(maxsize=None)
+def demo():
+    return parse_document(DEMO.read_bytes())
+
+
+@lru_cache(maxsize=None)
+def orbit() -> list[tuple[ArcSet, ArcSet]]:
+    """The demo pair and its ten mutation steps by D on a fixed window."""
+    doc = demo()
+    d = DividerSet(doc.params, doc.sets["D"].explicit)
+    x, y, w = doc.sets["X"], doc.sets["Ync"], Window(-80, 80)
+    states = [(x, y)]
+    for _ in range(10):
+        x, y, _ = mutate_pair(x, y, d, w)
+        states.append((x, y))
+    return states
+
+
+def shifted(s: ArcSet, k: int) -> ArcSet:
+    fams = [type(f)(*(v + k for v in family_scalars(f))) for f in s.families]
+    return ArcSet.of(s.params, [Arc(t + k, u + k) for t, u in s.explicit], fams)
+
+
+def features(*sets: ArcSet) -> list[int]:
+    pts = [0]
+    for s in sets:
+        pts += [e for a in s.explicit for e in a]
+        for f in s.families:
+            pts += family_scalars(f)
+    return pts
+
+
+@st.composite
+def pairs(draw, n: int):
+    """Random family sets at modulus ``n`` against themselves or their
+    rotation; at n = 3 also translates of the demo pairs and orbit states."""
+    kinds = ["family", "rotated"] + (["demo", "orbit"] if n == 3 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("family", "rotated"):
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        while True:
+            p, s, d = random_family_rotation_case(rng)
+            if p.n == n:
+                break
+        x, y = s, (s if kind == "family" else rotate_set(s, d))
+    elif kind == "demo":
+        doc, k = demo(), draw(st.integers(-40, 40))
+        names = draw(st.sampled_from([("X", "Ync"), ("X", "Y"), ("Y", "Ync")]))
+        x, y = (shifted(doc.sets[name], k) for name in names)
+    else:
+        x, y = orbit()[draw(st.integers(0, 10))]
+    if draw(st.booleans()):
+        x, y = y, x
+    # one end of the window on or next to a defining integer of either set
+    end = draw(st.sampled_from(features(x, y))) + draw(st.integers(-2, 2))
+    width = draw(st.integers(6, 30))
+    w = Window(end, end + width) if draw(st.booleans()) else Window(end - width, end)
+    return x, y, w
+
+
+def reference(x: ArcSet, y: ArcSet, w: Window):
+    def equality(lhs, rhs):
+        left, right = set(lhs), set(rhs)
+        return (True, "windowed", ()) if left == right else (
+            False, "windowed", tuple(sorted(left ^ right)))
+
+    fx, fy = finiteness_check(x), finiteness_check(y)
+    conditions = [
+        equality(members_in_window_brute(x, w), nc_window_brute(y, w)),
+        equality(members_in_window_brute(y, w), nc_window_brute(x, w)),
+        (fx.contravariant_ok, "exact", () if fx.contravariant_ok else (fx.contravariant_witness,)),
+        (fy.covariant_ok, "exact", () if fy.covariant_ok else (fy.covariant_witness,)),
+    ]
+    return conditions, [a for a in members_in_window_brute(x, w) if contains(y, a)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_run_comparison_matches_brute_sets(n, data):
+    x, y, w = data.draw(pairs(n))
+    rep = check_pair(x, y, w, enforce_margin=False)
+    got = [(c.ok, c.mode, c.witnesses) for c in rep.conditions().values()]
+    want, want_core = reference(x, y, w)
+    assert got == want
+    assert core(x, y, w, enforce_margin=False) == want_core
