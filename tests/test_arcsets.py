@@ -32,6 +32,7 @@ from infgon import (
     nc_window,
     parse_document,
 )
+from infgon.arcsets import member_runs, nc_runs
 from infgon.errors import NonAdmissible, UnsupportedFamilies
 from infgon.families import family_scalars
 from infgon.oracles import (
@@ -215,9 +216,21 @@ def covering(s: ArcSet) -> Window:
     return Window(min(pts) - pad, max(pts) + pad)
 
 
+def assert_canonical(runs: dict, n: int) -> None:
+    """Each foot's runs are aligned, sorted and neither overlap nor abut, so
+    equal head sets give equal runs."""
+    for t, rs in runs.items():
+        assert rs
+        for (a, b), after in zip(rs, rs[1:] + [(None, None)]):
+            assert t + n + 1 <= a < b and (a - t - 1) % n == 0 and (b - t - 1) % n == 0
+            assert after[0] is None or b < after[0]
+
+
 def assert_sweep_matches_brute(s: ArcSet, w: Window) -> None:
     assert nc_window(s, w) == nc_window_brute(s, w)
     assert members_in_window(s, w) == members_in_window_brute(s, w)
+    assert_canonical(nc_runs(s, w), s.params.n)
+    assert_canonical(member_runs(s, w), s.params.n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
