@@ -17,9 +17,11 @@ for window width W, m explicit arcs and f families, whatever the closure's
 size.  Closures are compared and intersected run by run at that cost
 (:func:`runs_symmetric_difference`, :func:`runs_intersection`); the listings
 :func:`members_in_window` and :func:`nc_window` expand the runs, O(output)
-more.  Testing every candidate arc costs O(W^2 / n * (m + f)); those
-candidate-filter versions are kept, frozen, as the brute-force references
-``nc_window_brute`` and ``members_in_window_brute`` in :mod:`infgon.oracles`.
+more; :func:`frame` intersects a set's runs with its closure's, and the
+double closure sweeps one bounded listing of ``nc s`` (:func:`double_nc_extras`).
+Testing every candidate arc costs O(W^2 / n * (m + f)); those candidate-filter
+versions are kept, frozen, as the brute-force references ``nc_window_brute``
+and ``members_in_window_brute`` in :mod:`infgon.oracles`.
 """
 
 from __future__ import annotations
@@ -304,8 +306,8 @@ def finiteness_check(s: ArcSet) -> FinitenessReport:
 
 
 def frame(s: ArcSet, w: Window) -> list[Arc]:
-    """Members of ``s`` inside ``w`` crossing nothing in the full set."""
-    return [a for a in members_in_window(s, w) if not crosses_set(a, s)]
+    """Members of ``s`` inside ``w`` crossing nothing in ``s``: those in ``nc s``."""
+    return runs_intersection(member_runs(s, w), nc_runs(s, w), s.params.n)
 
 
 @dataclass(frozen=True)
@@ -334,42 +336,34 @@ def is_ptolemy_window(s: ArcSet, w: Window) -> PtolemyReport:
     return PtolemyReport(True)
 
 
-def in_nc_nc(a: Arc, s: ArcSet) -> bool:
-    """Is ``a`` in the double non-crossing closure of a finite set?
-
-    Equivalently: does every arc crossing ``a`` cross some member of ``s``?
-    The witness search is bounded to endpoints in ``[m - (n+2), M + (n+2)]``
-    where m, M are the extreme endpoints of ``s`` and ``a``: a witness with
-    an endpoint beyond every relevant endpoint can be retracted into the
-    margin without changing any crossing predicate (one period suffices to
-    fix the residue, plus two for the minimum arc length).
-    """
-    if s.families:
-        raise UnsupportedFamilies("in_nc_nc supports finite arc sets only")
-    require_admissible(a, s.params)
-    pts = [a.t, a.u]
-    for e in s.explicit:
-        pts.extend((e.t, e.u))
-    margin = s.params.n + 2
-    bound = Window(min(pts) - margin, max(pts) + margin)
-    return not any(cross(a, b) for b in nc_window(s, bound))
-
-
 def double_nc_extras(s: ArcSet, w: Window) -> list[Arc]:
-    """Arcs in the window that lie in the double closure but not in ``s``.
+    """Arcs of ``w`` in the double closure ``nc nc s`` but not in ``s``,
+    sorted; empty means ``s`` equals its double closure on ``w``.
 
-    Window-sweep companion to :func:`in_nc_nc`: it computes the non-crossing
-    set once on the margin-extended window instead of once per candidate.
-    Empty result means ``s`` equals its double closure on this window.
+    The one bounded search behind the double closure.  An arc ``a`` of ``w``
+    is in ``nc nc s`` when no arc of ``nc s`` crosses it.  Let ``[m, M]`` be
+    the hull of ``w`` and ``s``.  A crossing arc ``(p, q)`` of ``nc s`` with
+    ``q > M`` may take instead the head in ``(M, M + n]`` with ``q``'s
+    residue: the span stays admissible (``p < M``) and no crossing with ``a``
+    or ``s`` changes, since none of their endpoints lies past ``M``; feet
+    mirror this.  So the closure of ``nc s`` restricted to
+    ``[m - (n + 2), M + (n + 2)]``, swept over ``w`` once, is ``nc nc s`` on
+    ``w``; as ``s`` lies in ``nc nc s``, its runs differ from those of ``s``
+    exactly at the extras.  A margin around ``w`` alone misses witnesses
+    when ``s`` reaches past ``w``.
     """
     if s.families:
-        raise UnsupportedFamilies("double_nc_extras supports finite arc sets only")
-    margin = s.params.n + 2
-    nc = nc_window(s, Window(w.lo - margin, w.hi + margin))
-    extras = []
-    for a in admissible_arcs_in(w, s.params):
-        if a in s.explicit:
-            continue
-        if not any(cross(a, b) for b in nc):
-            extras.append(a)
-    return extras
+        raise UnsupportedFamilies("the double closure supports finite arc sets only")
+    n = s.params.n
+    pts = [w.lo, w.hi, *(e for a in s.explicit for e in a)]
+    bound = Window(min(pts) - (n + 2), max(pts) + (n + 2))
+    nc = ArcSet(s.params, frozenset(nc_window(s, bound)))
+    return runs_symmetric_difference(nc_runs(nc, w), member_runs(s, w), n)
+
+
+def in_nc_nc(a: Arc, s: ArcSet) -> bool:
+    """Is ``a`` in the double closure of a finite set (does every arc crossing
+    ``a`` cross a member of ``s``)?  One :func:`double_nc_extras` on ``a``."""
+    extras = double_nc_extras(s, Window(a.t, a.u))  # raises on a family first
+    require_admissible(a, s.params)
+    return a in s.explicit or a in extras

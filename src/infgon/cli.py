@@ -271,7 +271,9 @@ COMMANDS: dict[str, Command] = {
     "fountains": Command("fountain loci and finiteness", "doc", (_SET,), _fountains),
     "frame": Command("members crossing nothing in their set", "doc", (_SET, _WINDOW),
                      lambda a, c: _arc_list(frame(c.set, c.w))),
-    "ptolemy": Command("Ptolemy condition on a window", "doc", (_SET, _WINDOW), _ptolemy),
+    "ptolemy": Command("Ptolemy condition on a window", "doc", (_SET, _WINDOW),
+                       # the pair loop is quartic in the width: 64 takes about 8 s at n = 1
+                       _ptolemy, max_width=64),
     "check-pair": Command("four-condition pair verification", "doc", (_X, _Y, _WINDOW),
                           lambda a, c: _pair_report(check_pair(c.x, c.y, c.w), [],
                                                     f"({a.x}, {a.y}) window-certified pair")),

@@ -39,9 +39,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .arcs import Arc, ModelParams, cross, require_admissible
+from .arcs import Arc, ModelParams, cross, is_admissible, require_admissible
 from .arcsets import ArcSet, Window, _make, contains, crosses_set, members_in_window
-from .cotorsion import PairReport, check_pair, core
+from .cotorsion import PairReport, check_pair
 from .errors import (
     DegeneratePair,
     DNotInCore,
@@ -344,8 +344,10 @@ def mutate_pair(
         raise PairCheckFailed(
             "pair fails its verification report; pass force=True to mutate anyway"
         )
-    core_arcs = set(core(x, y, w))
-    stray = sorted(b for b in d.arcs if b not in core_arcs)
+    # check_pair matched the moduli and the margin: a divider is in the core
+    # exactly when it lies in w, is admissible and is in both sets
+    stray = sorted(b for b in d.arcs if not (w.lo <= b.t and b.u <= w.hi and
+                   is_admissible(b, x.params) and contains(x, b) and contains(y, b)))
     if stray:
         raise DNotInCore(f"divider arcs outside the pair core: {stray}")
     x2 = rotate_set(x, d)

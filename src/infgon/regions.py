@@ -66,15 +66,15 @@ class IntRegion:
                 return x
         if self.left_max is not None:  # walk down our left ray
             x, floor = self.left_max, other.left_max
-            if floor is None and other.right_min is not None:
-                x = min(x, other.right_min - 1)  # below other's right ray at once
+            if other.right_min is not None:  # other's right ray covers the rest
+                x = min(x, other.right_min - 1)
             while floor is None or x > floor:  # no floor: other has finitely many points
                 if x not in other:
                     return x
                 x -= 1
         if self.right_min is not None:  # walk up our right ray
             x, ceil = self.right_min, other.right_min
-            if ceil is None and other.left_max is not None:
+            if other.left_max is not None:
                 x = max(x, other.left_max + 1)
             while ceil is None or x < ceil:
                 if x not in other:

@@ -345,6 +345,18 @@ def test_oracle_window_wider_than_its_limit_is_an_input_error(capsys, monkeypatc
     assert _parse_window(f"-32..{limit - 32}", limit) == Window(-32, limit - 32)
 
 
+def test_ptolemy_window_wider_than_its_limit_is_an_input_error(capsys, monkeypatch):
+    limit = COMMANDS["ptolemy"].max_width
+    assert limit == 64 < MAX_WINDOW_WIDTH
+    monkeypatch.setattr(cli, "is_ptolemy_window", lambda *a: pytest.fail("a pair loop ran"))
+    for window in (f"0..{limit + 1}", "-40..40", f"-40..{MAX_WINDOW_WIDTH - 40}"):
+        code, out, err = run(
+            capsys, "ptolemy", "--input", EXAMPLE, "--set", "Ync", "--window", window
+        )
+        assert_input_error(code, err)
+        assert out == "" and window in err and str(limit) in err
+
+
 HUGE = "9" * 5000  # more digits than int() converts by default
 
 

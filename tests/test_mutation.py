@@ -302,6 +302,13 @@ def test_mutate_pair_rejects_divider_outside_core():
     stray = DividerSet.of(P3, [Arc(-7, 6)])
     with pytest.raises(DNotInCore):
         mutate_pair(GOOD_X, GOOD_Y, stray, W)
+    # a member of both sets, but beyond the window
+    far = ArcSet.of(P3, [Arc(-4, 3)], [HalfRight(30)])
+    with pytest.raises(DNotInCore):
+        mutate_pair(far, far, DividerSet.of(P3, [Arc(40, 44)]), W, force=True)
+    # a divider for another modulus belongs to neither set
+    with pytest.raises(DNotInCore):
+        mutate_pair(GOOD_X, GOOD_Y, DividerSet.of(P1, [Arc(0, 2)]), W)
 
 
 def test_mutate_pair_force_path():

@@ -1,7 +1,9 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from infgon import IntRegion
+from infgon import ArcSet, IntRegion, ModelParams, finiteness_check
+from infgon.families import Band, HalfLeft, HalfRight
 
 # Brute-force comparisons only need a range generously wider than the data.
 SPAN = 60
@@ -56,3 +58,32 @@ def test_union_is_pointwise(a, b):
     assert (u.right_min is not None) == (
         a.right_min is not None or b.right_min is not None
     )
+
+
+FAR = 10**12
+
+
+@pytest.mark.parametrize(
+    "families, side, witness",
+    [
+        ((HalfLeft(FAR), Band(0, 50), HalfRight(5)), "covariant", 4),
+        ((HalfRight(-FAR), HalfLeft(0), Band(-60, 50)), "contravariant", 1),
+    ],
+    ids=["left ray", "right ray"],
+)
+def test_witness_skips_the_other_sides_ray(monkeypatch, families, side, witness):
+    # Each region has both rays, one scalar 10**12 away: the walk must jump
+    # past the other region's ray instead of testing every integer before it.
+    calls = 0
+    contains = IntRegion.__contains__
+
+    def counted(self, x):
+        nonlocal calls
+        calls += 1
+        assert calls <= 100, "the witness search walks integer by integer"
+        return contains(self, x)
+
+    monkeypatch.setattr(IntRegion, "__contains__", counted)
+    rep = finiteness_check(ArcSet.of(ModelParams(3), families=families))
+    assert getattr(rep, f"{side}_ok") is False
+    assert getattr(rep, f"{side}_witness") == witness
