@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 
 from .arcs import Arc, ModelParams, cross, is_admissible, require_admissible
 from .errors import UnsupportedFamilies
-from .families import Family, _first_from
+from .families import Family, _first_from, family_scalars
 from .regions import IntRegion
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "contains",
     "crosses_set",
     "double_nc_extras",
+    "features",
     "finiteness_check",
     "fountain_loci",
     "frame",
@@ -95,6 +96,14 @@ class ArcSet:
         families: Iterable[Family] = (),
     ) -> "ArcSet":
         return ArcSet(params, frozenset(explicit), tuple(families))
+
+
+def features(*sets: ArcSet) -> list[int]:
+    """The integers that define the sets: every explicit endpoint and every
+    family scalar.  Their hull widened by n + 2 bounds each search that must
+    see all of a set (``check_pair``'s window, :func:`double_nc_extras`)."""
+    return [v for s in sets for a in s.explicit for v in a] + [
+        v for s in sets for f in s.families for v in family_scalars(f)]
 
 
 def admissible_arcs_in(w: Window, p: ModelParams) -> Iterator[Arc]:
@@ -355,7 +364,7 @@ def double_nc_extras(s: ArcSet, w: Window) -> list[Arc]:
     if s.families:
         raise UnsupportedFamilies("the double closure supports finite arc sets only")
     n = s.params.n
-    pts = [w.lo, w.hi, *(e for a in s.explicit for e in a)]
+    pts = [w.lo, w.hi, *features(s)]
     bound = Window(min(pts) - (n + 2), max(pts) + (n + 2))
     nc = ArcSet(s.params, frozenset(nc_window(s, bound)))
     return runs_symmetric_difference(nc_runs(nc, w), member_runs(s, w), n)

@@ -84,11 +84,7 @@ def _parse_arcs(text: str) -> list[Arc]:
 
 
 def _encode_witness(w: object) -> object:
-    if isinstance(w, Arc):
-        return [w.t, w.u]
-    if isinstance(w, tuple):
-        return [x for item in w for x in _encode_witness(item)]  # flatten pairs
-    return w
+    return [w.t, w.u] if isinstance(w, Arc) else w  # an Arc or an int
 
 
 def _region_json(reg) -> dict:

@@ -4,8 +4,9 @@ A pair of arc sets (X, Y) is an n-cotorsion pair exactly when X is the
 non-crossing closure of Y, Y is the non-crossing closure of X, every
 right-fountain of X is a left-fountain of X, and every left-fountain of Y is
 a right-fountain of Y.  The two set equalities are verified on a window (the
-sets are infinite); the two fountain conditions are decided exactly from the
-family descriptors.  Reports always carry witnesses.
+sets are infinite) that covers the integers defining both sets with margin
+n + 2; the two fountain conditions are decided exactly from the family
+descriptors.  Reports always carry witnesses.
 
 The set equalities and :func:`core` compare (or intersect) the closures'
 per-foot head runs from :mod:`infgon.arcsets` and build arcs only for the
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .arcs import Arc, ModelParams, cross, require_admissible
-from .arcsets import (ArcSet, Runs, Window, finiteness_check, member_runs, nc_runs,
-                      runs_intersection, runs_symmetric_difference)
+from .arcsets import (ArcSet, Runs, Window, features, finiteness_check, member_runs,
+                      nc_runs, runs_intersection, runs_symmetric_difference)
 from .errors import WindowTooSmall
 
 __all__ = [
@@ -66,18 +67,6 @@ class PairReport:
         }
 
 
-def _require_margin(x: ArcSet, y: ArcSet, w: Window) -> None:
-    margin = x.params.n + 2
-    pts = [e for a in (x.explicit | y.explicit) for e in a]
-    if not pts:
-        return
-    if w.lo > min(pts) - margin or w.hi < max(pts) + margin:
-        raise WindowTooSmall(
-            f"window [{w.lo}, {w.hi}] must cover explicit endpoints "
-            f"[{min(pts)}, {max(pts)}] with margin {margin}"
-        )
-
-
 def _equality(lhs: Runs, rhs: Runs, n: int) -> Condition:
     diff = runs_symmetric_difference(lhs, rhs, n)
     return Condition(not diff, "windowed", tuple(diff))
@@ -90,12 +79,20 @@ def check_pair(
 
     Set-equality witnesses are symmetric-difference arcs on the window;
     fountain witnesses are single integers and are exact, not windowed.
+    The window must cover every explicit endpoint and family scalar of both
+    sets (:func:`~infgon.arcsets.features`) with margin n + 2, or
+    ``WindowTooSmall`` is raised; ``enforce_margin=False`` decides on the
+    window as given.
     """
     if x.params != y.params:
         raise ValueError("pair members disagree on the modulus n")
-    if enforce_margin:
-        _require_margin(x, y, w)
     n = x.params.n
+    pts = features(x, y) if enforce_margin else []
+    if pts and (w.lo > min(pts) - n - 2 or w.hi < max(pts) + n + 2):
+        raise WindowTooSmall(
+            f"window [{w.lo}, {w.hi}] must cover the explicit endpoints and family "
+            f"scalars [{min(pts)}, {max(pts)}] with margin {n + 2}"
+        )
     cond1 = _equality(member_runs(x, w), nc_runs(y, w), n)
     cond2 = _equality(member_runs(y, w), nc_runs(x, w), n)
     fx = finiteness_check(x)
@@ -113,12 +110,11 @@ def check_pair(
     return PairReport(cond1, cond2, cond3, cond4, w)
 
 
-def core(x: ArcSet, y: ArcSet, w: Window, *, enforce_margin: bool = True) -> list[Arc]:
-    """Arcs of the window belonging to both sets (the pair's core)."""
+def core(x: ArcSet, y: ArcSet, w: Window) -> list[Arc]:
+    """Arcs of the window belonging to both sets (the pair's core), exact on
+    any window: it lists members, which need no view past the window."""
     if x.params != y.params:
         raise ValueError("pair members disagree on the modulus n")
-    if enforce_margin:
-        _require_margin(x, y, w)
     return runs_intersection(member_runs(x, w), member_runs(y, w), x.params.n)
 
 

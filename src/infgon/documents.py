@@ -75,6 +75,8 @@ def parse_document(data: bytes | str, n: int | None = None) -> Document:
         raise ParseError(f"malformed JSON at line {exc.lineno}, column {exc.colno}")
     except ValueError:  # an integer of more digits than the interpreter converts
         raise ParseError("input holds an integer too long to read") from None
+    except RecursionError:  # arrays or objects nested deeper than the parser recurses
+        raise ParseError("input nests arrays or objects too deeply") from None
     if not isinstance(obj, dict):
         raise ValidationError("top level: expected an object")
     unknown = set(obj) - {"n", "sets"}

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .arcs import Arc, ModelParams, cross, is_admissible, require_admissible
-from .arcsets import ArcSet, Window, _make, contains, crosses_set, members_in_window
+from .arcsets import ArcSet, Window, _make, contains, crosses_set, features, members_in_window
 from .cotorsion import PairReport, check_pair
 from .errors import (
     DegeneratePair,
@@ -277,14 +277,10 @@ def _rotate_family(f: Family, d: DividerSet) -> tuple[list[tuple[int, int]], lis
 
 
 def _validate_rotation(x: ArcSet, d: DividerSet, result: ArcSet) -> None:
-    """Compare the symbolic result with pointwise rotation on a window."""
-    feats = d.endpoints() + [e for a in x.explicit for e in a]
-    for fam in x.families:
-        feats += family_scalars(fam)
-    for fam in result.families:
-        feats += family_scalars(fam)
-    if not feats:
-        return
+    """Compare the symbolic result with pointwise rotation on a window
+    around the dividers, the features of ``x`` and the result's family
+    scalars (``x`` has a family, so there is at least one)."""
+    feats = d.endpoints() + features(x) + [v for f in result.families for v in family_scalars(f)]
     pad = d.span() + 2 * (d.params.n + 2) + 4
     outer = Window(min(feats) - pad, max(feats) + pad)
     inner = outer.shrink(d.span() + 2)
@@ -335,17 +331,18 @@ def mutate_pair(
     """Rotate a verified pair and re-verify it on the shrunk window.
 
     The window shrinks by span(D) + 1 on each side, the maximum distance a
-    rotated endpoint can travel; the explicit-endpoint margin rule is not
-    re-imposed on the shrunk window (the shrink already keeps it inside the
-    certified region).
+    rotated endpoint can travel.  The re-verification is windowed: it
+    decides the equalities on the shrunk window as given, without
+    ``check_pair``'s margin, which the rotated sets need not meet there (the
+    demo's rotated ``Ync``, on [-9, 9], has explicit endpoints -17 to 17).
     """
     rep = check_pair(x, y, w)
     if not rep.verdict and not force:
         raise PairCheckFailed(
             "pair fails its verification report; pass force=True to mutate anyway"
         )
-    # check_pair matched the moduli and the margin: a divider is in the core
-    # exactly when it lies in w, is admissible and is in both sets
+    # check_pair matched the moduli: a divider is in the core exactly when it
+    # lies in w, is admissible and is in both sets
     stray = sorted(b for b in d.arcs if not (w.lo <= b.t and b.u <= w.hi and
                    is_admissible(b, x.params) and contains(x, b) and contains(y, b)))
     if stray:

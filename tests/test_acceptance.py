@@ -176,7 +176,7 @@ def test_criterion_10_core_frame_agreement():
     pairs.append((x2, y2, W20.shrink(D.span() + 1)))
     for x, y, w in pairs:
         assert check_pair(x, y, w, enforce_margin=False).verdict
-        c = core(x, y, w, enforce_margin=False)
+        c = core(x, y, w)
         assert c == frame(x, w)
         assert rigidity_check(c, P3).ok
     _ok("criterion 10, core equals frame and is rigid, original and mutated")

@@ -10,6 +10,8 @@ from infgon.cli import COMMANDS, MAX_WINDOW_WIDTH, _parse_window, main
 from infgon.documents import REPORT_SCHEMA
 
 EXAMPLE = str(Path(__file__).resolve().parent.parent / "demos" / "example_sets.json")
+# the demo X with a left fan far below the window, against the demo Ync
+FAR_FAMILY = str(Path(__file__).resolve().parent / "fixtures" / "far_family.json")
 
 
 def run(capsys, *argv):
@@ -119,6 +121,33 @@ def test_mutate_command(capsys):
         "--window", "-20..20", "--force",
     )
     assert code == 1 and report["verdict"] is False
+
+
+def test_window_short_of_a_family_scalar_is_an_input_error(capsys, tmp_path):
+    # LeftFan(-50, -53) lies outside -20..20, where X and Ync once passed
+    pair = ("check-pair", "--input", FAR_FAMILY, "--x", "X", "--y", "Ync", "--window")
+    code, out, err = run(capsys, *pair, "-20..20")
+    assert_input_error(code, err)
+    assert out == "" and "[-53, 6] with margin 5" in err
+    code, report = run_json(capsys, *pair, "-60..60")
+    assert code == 1 and not report["details"]["x_equals_nc_y"]["ok"]
+    # the guard also stops a forced mutation of a set with far family scalars
+    doc = tmp_path / "far_fan.json"
+    doc.write_text(json.dumps({"n": 3, "sets": {
+        "X": {"explicit": [[0, 4]], "families": [
+            {"kind": "half_left", "p": -3}, {"kind": "right_fan", "p": -3000, "u_min": 3000}]},
+        "D": {"explicit": [[0, 4]]}}}))
+    code, out, err = run(capsys, "mutate", "--input", str(doc), "--x", "X", "--y", "X",
+                         "--d", "D", "--window", "-20..20", "--force")
+    assert_input_error(code, err)
+    assert out == "" and "[-3000, 3000]" in err
+
+
+def test_mutate_with_a_divider_set_holding_families_is_an_input_error(capsys):
+    code, out, err = run(capsys, "mutate", "--input", EXAMPLE, "--x", "X", "--y", "Ync",
+                         "--d", "Ync", "--window", "-20..20")
+    assert_input_error(code, err)
+    assert out == "" and "'Ync' must be finite" in err
 
 
 def test_mutate_force_needs_divider_in_core(capsys):
@@ -267,6 +296,14 @@ def test_malformed_input_with_modulus_override_is_an_input_error(capsys, tmp_pat
     )
     assert_input_error(code, err)
     assert out == "" and "JSON" in err
+
+
+def test_deeply_nested_input_is_an_input_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "nc", "--input", str(deep), "--set", "X", "--window", "-5..5")
+    assert_input_error(code, err)
+    assert out == "" and "nests" in err
 
 
 def test_malformed_input_for_ext_is_an_input_error(capsys, tmp_path):

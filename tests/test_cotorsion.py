@@ -87,8 +87,8 @@ def test_window_margin_enforced():
     with pytest.raises(WindowTooSmall):
         check_pair(X, Y_CLOSURE, Window(-8, 8))  # needs endpoints +- (n+2)
     with pytest.raises(WindowTooSmall):
-        core(X, Y_CLOSURE, Window(-8, 8))
-    assert check_pair(X, Y_CLOSURE, Window(-9, 11)).verdict
+        check_pair(X, Y_CLOSURE, Window(-9, 11))  # and the band's k_max = -5 too
+    assert check_pair(X, Y_CLOSURE, Window(-10, 11)).verdict
 
 
 def test_params_must_match():

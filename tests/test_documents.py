@@ -37,6 +37,8 @@ def test_parse_errors():
         parse_document(b"[1, 2]")
     with pytest.raises(ValidationError, match="n:"):
         parse_document(b'{"n": 0, "sets": {}}')
+    with pytest.raises(ParseError, match="nests"):
+        parse_document("[" * 100000 + "]" * 100000)
 
 
 
@@ -55,6 +57,16 @@ def test_validation_errors_carry_locus():
         parse_document(
             json.dumps({"n": 3, "sets": {"A": {"families": [{"kind": "spiral"}]}}})
         )
+    for doc, locus in [
+        ({"n": 3, "sets": {"A": {"explicit": [[1, "5"]]}}}, r"sets\.A\.explicit\[0\].*pair"),
+        ({"n": 3, "sets": {}, "m": 1}, r"top level.*unknown fields \['m'\]"),
+        ({"n": 3, "sets": [["A"]]}, r"sets: expected an object"),
+        ({"n": 3, "sets": {"A": [[1, 5]]}}, r"sets\.A: expected an object"),
+        ({"n": 3, "sets": {"A": {"arcs": []}}}, r"sets\.A: unknown fields \['arcs'\]"),
+        ({"n": 3, "sets": {"A": {"families": [{"p": 1}]}}}, r"sets\.A\.families\[0\].*'kind'"),
+    ]:
+        with pytest.raises(ValidationError, match=locus):
+            parse_document(json.dumps(doc))
     doc = parse_document(json.dumps({"n": 3, "sets": {}}))
     with pytest.raises(ValidationError, match="no set named"):
         doc.require("missing")

@@ -38,6 +38,7 @@ from infgon.errors import (
     IncompatibleArc,
     NonAdmissible,
     PairCheckFailed,
+    WindowTooSmall,
 )
 from infgon import mutation
 from infgon.mutation import _pred, _rotate_all, _succ
@@ -292,6 +293,12 @@ def test_mutate_pair_passes_on_shrunk_window():
     assert frame(x2, shrunk) == sorted(x2.explicit)
 
 
+def test_mutate_pair_window_too_small_to_survive_the_shrink():
+    # check_pair admits [-10, 11], but the shrink by span(D1) + 1 = 11 empties it
+    with pytest.raises(WindowTooSmall, match="shrink"):
+        mutate_pair(GOOD_X, GOOD_Y, D1, Window(-10, 11))
+
+
 def test_mutate_pair_reports_the_window_it_decided_on():
     _, _, rep = mutate_pair(GOOD_X, GOOD_Y, D1, W)
     assert rep.window == W.shrink(D1.span() + 1)
@@ -303,7 +310,7 @@ def test_mutate_pair_rejects_divider_outside_core():
     with pytest.raises(DNotInCore):
         mutate_pair(GOOD_X, GOOD_Y, stray, W)
     # a member of both sets, but beyond the window
-    far = ArcSet.of(P3, [Arc(-4, 3)], [HalfRight(30)])
+    far = ArcSet.of(P3, [Arc(-4, 3)], [HalfRight(14)])
     with pytest.raises(DNotInCore):
         mutate_pair(far, far, DividerSet.of(P3, [Arc(40, 44)]), W, force=True)
     # a divider for another modulus belongs to neither set

@@ -2,6 +2,7 @@
 they are held against the frozen brute-force listings, compared as plain
 sets of arcs."""
 
+import dataclasses
 import random
 from functools import lru_cache
 from pathlib import Path
@@ -22,8 +23,10 @@ from infgon import (
     mutate_pair,
     rotate_set,
 )
+from infgon.arcsets import features
 from infgon.documents import parse_document
-from infgon.families import family_scalars
+from infgon.errors import WindowTooSmall
+from infgon.families import Band, HalfLeft, HalfRight, LeftFan, RightFan, family_scalars
 from infgon.oracles import members_in_window_brute, nc_window_brute, random_family_rotation_case
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "example_sets.json"
@@ -52,15 +55,6 @@ def shifted(s: ArcSet, k: int) -> ArcSet:
     return ArcSet.of(s.params, [Arc(t + k, u + k) for t, u in s.explicit], fams)
 
 
-def features(*sets: ArcSet) -> list[int]:
-    pts = [0]
-    for s in sets:
-        pts += [e for a in s.explicit for e in a]
-        for f in s.families:
-            pts += family_scalars(f)
-    return pts
-
-
 @st.composite
 def pairs(draw, n: int):
     """Random family sets at modulus ``n`` against themselves or their
@@ -83,7 +77,7 @@ def pairs(draw, n: int):
     if draw(st.booleans()):
         x, y = y, x
     # one end of the window on or next to a defining integer of either set
-    end = draw(st.sampled_from(features(x, y))) + draw(st.integers(-2, 2))
+    end = draw(st.sampled_from([0, *features(x, y)])) + draw(st.integers(-2, 2))
     width = draw(st.integers(6, 30))
     w = Window(end, end + width) if draw(st.booleans()) else Window(end - width, end)
     return x, y, w
@@ -114,4 +108,44 @@ def test_run_comparison_matches_brute_sets(n, data):
     got = [(c.ok, c.mode, c.witnesses) for c in rep.conditions().values()]
     want, want_core = reference(x, y, w)
     assert got == want
-    assert core(x, y, w, enforce_margin=False) == want_core
+    assert core(x, y, w) == want_core
+
+
+@st.composite
+def perturbed_demo_pairs(draw):
+    """The demo pair X / Ync (n = 3), translated, with one explicit arc or
+    family, its integers in [-60, 60], added to one of the two sets."""
+    doc, k = demo(), draw(st.integers(-20, 20))
+    x, y = shifted(doc.sets["X"], k), shifted(doc.sets["Ync"], k)
+    if draw(st.booleans()):
+        t = draw(st.integers(-60, 56))
+        extra = ArcSet.of(x.params, [Arc(t, draw(st.sampled_from(range(t + 4, 61, 3))))])
+    else:
+        kind = draw(st.sampled_from([LeftFan, RightFan, Band, HalfLeft, HalfRight]))
+        scalars = [draw(st.integers(-60, 60)) for _ in dataclasses.fields(kind)]
+        extra = ArcSet.of(x.params, families=[kind(*scalars)])
+    if draw(st.booleans()):
+        x, y = y, x
+    return ArcSet.of(x.params, x.explicit | extra.explicit, x.families + extra.families), y
+
+
+@given(pair=perturbed_demo_pairs(), grow=st.tuples(st.integers(0, 40), st.integers(0, 40)))
+@settings(max_examples=300, deadline=None)
+def test_verdict_on_the_narrowest_guarded_window_holds_on_wider_ones(pair, grow):
+    """``check_pair`` claims its verdict for every window it admits, so the
+    narrowest one (the features' hull, widened evenly until the guard lets
+    it through) must agree with any wider one."""
+    x, y = pair
+    pts = features(x, y)
+    for m in range(2 * x.params.n + 5):
+        w = Window(min(pts) - m, max(pts) + m)
+        try:
+            narrow = check_pair(x, y, w)
+            break
+        except WindowTooSmall:
+            continue
+    else:
+        pytest.fail(f"the guard admits no window up to margin {m} around {pts}")
+    wide = check_pair(x, y, Window(w.lo - grow[0], w.hi + grow[1]))
+    assert [c.ok for c in narrow.conditions().values()] == [
+        c.ok for c in wide.conditions().values()]
