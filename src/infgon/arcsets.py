@@ -11,10 +11,12 @@ heads ``u``: an explicit arc ``(r, v)`` blocks ``u > v`` when ``r < t < v``
 and ``r < u < v`` when ``t < r``, and each family states its blocked and
 member heads per foot (see :mod:`infgon.families`).  ``member_runs`` visits
 each family only on its foot interval (``member_feet``) and keeps only the
-feet that carry a head.  Merging the intervals gives each foot's heads as
-canonical runs (:data:`Runs`), the sweeps' only output, in O(W * (m + f))
-for window width W, m explicit arcs and f families, whatever the closure's
-size.  Closures are compared and intersected run by run at that cost
+feet that carry a head; ``nc_runs`` leaves a foot as soon as its heads are
+capped below ``t + n + 1``, reading the fans last, since a band or a
+half-plane empties whole feet.  Merging the intervals (:func:`runs_of`)
+gives each foot's heads as canonical runs (:data:`Runs`), the sweeps' only
+output, in O(W * (m + f)) for window width W, m explicit arcs and f
+families, whatever the closure's size.  Closures are compared and intersected run by run at that cost
 (:func:`runs_symmetric_difference`, :func:`runs_intersection`); the listings
 :func:`members_in_window` and :func:`nc_window` expand the runs, O(output)
 more; :func:`frame` intersects a set's runs with its closure's, and the
@@ -58,6 +60,7 @@ __all__ = [
     "nc_runs",
     "nc_window",
     "runs_intersection",
+    "runs_of",
     "runs_symmetric_difference",
 ]
 
@@ -152,24 +155,14 @@ def _add_run(runs: list[tuple[int, int]], first: int, stop: int) -> None:
         runs.append((first, stop))
 
 
-def member_runs(s: ArcSet, w: Window) -> Runs:
-    """The heads of the members of ``s`` inside ``w``, as runs on the feet
-    that carry one: a family far from the members costs nothing per foot."""
-    n, lo, hi = s.params.n, w.lo, w.hi
-    last = hi - 2  # the last foot with a head in the window
-    per_foot: dict[int, list[tuple[int, int]]] = {}
-    for r, v in s.explicit:
-        if lo <= r and v <= hi:
-            per_foot.setdefault(r, []).append((v, v))
-    for f in s.families:  # each family visits only the feet it has members on
-        first, stop = f.member_feet()
-        first = lo if first is None else max(first, lo)
-        stop = last if stop is None else min(stop, last)
-        for t in range(first, stop + 1):
-            for a, b in f.member_heads(t, n):
-                per_foot.setdefault(t, []).append((a, hi if b is None or b > hi else b))
+def runs_of(per_foot: dict[int, list[tuple[int, int]]], w: Window, n: int) -> Runs:
+    """Canonical runs of closed head intervals ``(a, b)`` per foot (sorted in
+    place), clipped to ``w``: feet from ``w.lo``, heads up to ``w.hi``."""
+    lo, hi = w.lo, w.hi
     out: Runs = {}
     for t in sorted(per_foot):
+        if t < lo:
+            continue
         heads = per_foot[t]
         heads.sort()
         runs: list[tuple[int, int]] = []
@@ -177,6 +170,8 @@ def member_runs(s: ArcSet, w: Window) -> Runs:
         for a, b in heads:
             if a > u:
                 u = _first_from(a, t + 1, n)
+            if b > hi:
+                b = hi
             if u <= b:
                 stop = _first_from(b + 1, t + 1, n)
                 _add_run(runs, u, stop)
@@ -186,11 +181,30 @@ def member_runs(s: ArcSet, w: Window) -> Runs:
     return out
 
 
+def member_runs(s: ArcSet, w: Window) -> Runs:
+    """The heads of the members of ``s`` inside ``w``, as runs on the feet
+    that carry one: a family far from the members costs nothing per foot."""
+    n, lo, hi = s.params.n, w.lo, w.hi
+    last = hi - 2  # the last foot with a head in the window
+    per_foot: dict[int, list[tuple[int, int]]] = {}
+    for r, v in s.explicit:
+        per_foot.setdefault(r, []).append((v, v))
+    for f in s.families:  # each family visits only the feet it has members on
+        first, stop = f.member_feet()
+        first = lo if first is None else max(first, lo)
+        stop = last if stop is None else min(stop, last)
+        for t in range(first, stop + 1):
+            for a, b in f.member_heads(t, n):
+                per_foot.setdefault(t, []).append((a, hi if b is None else b))
+    return runs_of(per_foot, w, n)
+
+
 def nc_runs(s: ArcSet, w: Window) -> Runs:
     """The heads of the non-crossing closure of ``s`` inside ``w``, as runs
     per foot.  Pointwise decisions are exact (tested against the full
     symbolic set); only the window truncates."""
-    n, hi, fams = s.params.n, w.hi, s.families
+    n, hi = s.params.n, w.hi
+    fams = sorted(s.families, key=lambda f: f.kind in ("left_fan", "right_fan"))  # fans last
     arcs = sorted(s.explicit)
     feet = [r for r, _ in arcs]
     inside = [(r + 1, v - 1) for r, v in arcs]  # heads blocked by (r, v) when t < r
@@ -204,6 +218,9 @@ def nc_runs(s: ArcSet, w: Window) -> Runs:
         while spanning and spanning[0] <= t:
             heappop(spanning)
         top = min(hi, spanning[0]) if spanning else hi  # last head not capped
+        u = t + n + 1
+        if u > top:
+            continue
         blocked = inside[bisect_right(feet, t) :]
         for f in fams:
             for a, b in f.crossed_heads(t, n):
@@ -211,7 +228,8 @@ def nc_runs(s: ArcSet, w: Window) -> Runs:
                     top = min(top, a - 1)
                 else:
                     blocked.append((a, b))
-        u = t + n + 1
+            if u > top:
+                break
         if u > top:
             continue
         blocked.sort()
@@ -290,12 +308,9 @@ def fountain_loci(s: ArcSet) -> tuple[IntRegion, IntRegion]:
     Finite data contributes nothing; each family kind contributes its
     closed-form locus.
     """
-    left = IntRegion.empty()
-    right = IntRegion.empty()
-    for f in s.families:
-        left = left.union(f.left_locus())
-        right = right.union(f.right_locus())
-    return left, right
+    empty, fams = IntRegion.empty(), s.families
+    return (empty.union(*(f.left_locus() for f in fams)),
+            empty.union(*(f.right_locus() for f in fams)))
 
 
 @dataclass(frozen=True)

@@ -52,11 +52,12 @@ class IntRegion:
     def is_empty(self) -> bool:
         return not self.points and self.left_max is None and self.right_min is None
 
-    def union(self, other: "IntRegion") -> "IntRegion":
+    def union(self, *others: "IntRegion") -> "IntRegion":
+        regs = (self, *others)
         return IntRegion.of(
-            self.points | other.points,
-            {self.left_max, other.left_max} - {None},
-            {self.right_min, other.right_min} - {None},
+            [x for r in regs for x in r.points],
+            [r.left_max for r in regs if r.left_max is not None],
+            [r.right_min for r in regs if r.right_min is not None],
         )
 
     def uncovered_witness(self, other: "IntRegion") -> int | None:

@@ -255,6 +255,33 @@ def test_sweep_matches_brute_on_finite_sets(seed, n, w):
     assert_sweep_matches_brute(s, covering(s))
 
 
+family_lists = st.lists(
+    st.one_of(
+        st.builds(LeftFan, st.integers(-15, 15), st.integers(-17, 13)),
+        st.builds(RightFan, st.integers(-15, 15), st.integers(-13, 17)),
+        st.builds(Band, st.integers(-15, 15), st.integers(-15, 15)),
+        st.builds(HalfLeft, st.integers(-15, 15)),
+        st.builds(HalfRight, st.integers(-15, 15)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(n=st.integers(1, 4), fams=family_lists, w=windows, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_nc_runs_ignores_family_order(n, fams, w, data):
+    """``nc_runs`` stops a foot once some family caps it, fans last; the
+    closure must not depend on the order the families come in."""
+    p = ModelParams(n)
+    arcs = data.draw(st.lists(admissible_arcs(n, -15, 15, 6), max_size=4))
+    s = ArcSet.of(p, arcs, fams)
+    runs = nc_runs(s, w)
+    assert nc_window(s, w) == nc_window_brute(s, w)
+    order = data.draw(st.permutations(fams))
+    assert nc_runs(ArcSet.of(p, arcs, order), w) == runs
+
+
 @pytest.fixture(scope="module")
 def mutated_demo_pair():
     """The demo pair after three rotation steps: hundreds of explicit arcs."""

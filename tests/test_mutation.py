@@ -2,6 +2,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infgon import (
     Arc,
@@ -18,6 +20,7 @@ from infgon import (
     check_pair,
     contains,
     cross,
+    crosses_set,
     frame,
     is_admissible,
     members_in_window,
@@ -41,7 +44,8 @@ from infgon.errors import (
     WindowTooSmall,
 )
 from infgon import mutation
-from infgon.mutation import _pred, _rotate_all, _succ
+from infgon.arcsets import features, member_runs, runs_of
+from infgon.mutation import _pred, _rotate_all, _rotate_runs, _succ
 from infgon.oracles import (
     random_divider_case,
     random_family_rotation_case,
@@ -369,9 +373,9 @@ def test_rotation_with_a_far_family_scalar_is_cheap(monkeypatch):
 
     def spy(s, w):
         windows.append(w)
-        return members_in_window(s, w)
+        return member_runs(s, w)
 
-    monkeypatch.setattr(mutation, "members_in_window", spy)
+    monkeypatch.setattr(mutation, "member_runs", spy)
     tracemalloc.start()
     try:
         got = rotate_set(x, d)
@@ -382,3 +386,43 @@ def test_rotation_with_a_far_family_scalar_is_cheap(monkeypatch):
     assert got.families == (RightFan(far - 1, 11),)
     assert min(w.lo for w in windows) < far  # the check's window still reaches the fan
     assert peak < 8 * 2**20
+
+
+def hugging_divider(rng: random.Random, x: ArcSet, d: DividerSet) -> Arc | None:
+    """A random arc sharing an endpoint with a divider, not yet a divider and
+    crossing nothing in ``x``: added to both, it keeps the pair rotatable."""
+    cands = [Arc(*sorted((e, v))) for e in d.endpoints() for v in range(e - 12, e + 13)
+             if abs(e - v) >= 2]
+    cands = [b for b in cands if is_admissible(b, d.params) and b not in d.arcs
+             and not crosses_set(b, x)]
+    return rng.choice(cands) if cands else None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@given(seed=st.integers(0, 2**32 - 1), hug=st.booleans(), rotated=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_run_rotation_matches_the_kernel_arc_by_arc(n, seed, hug, rotated):
+    """The rotation self-check moves whole head runs; it must equal the
+    kernel applied to every member on the check's window.  ``hug`` adds a
+    divider sharing an endpoint with another, so heads and feet at divider
+    endpoints meet runs that also hold ordinary heads."""
+    rng = random.Random(seed)
+    while True:
+        p, x, d = random_family_rotation_case(rng)
+        if p.n == n:
+            break
+    b = hugging_divider(rng, x, d) if hug else None
+    if b is not None:
+        x = ArcSet.of(p, x.explicit | {b}, x.families)
+        d = DividerSet.of(p, d.arcs | {b})
+    if rotated:
+        x = rotate_set(x, d)
+    pts = d.endpoints() + features(x)
+    pad = d.span() + 2 * (n + 2) + 4
+    outer = Window(min(pts) - pad, max(pts) + pad)
+    inner = outer.shrink(d.span() + 2)
+    images = _rotate_all((m for m in members_in_window(x, outer) if m not in d.arcs), d, _pred)
+    heads: dict = {}
+    for t, u in set(images) | d.arcs:
+        heads.setdefault(t, []).append((u, u))
+    assert _rotate_runs(member_runs(x, outer), d, inner) == runs_of(heads, inner, n)
