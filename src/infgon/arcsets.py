@@ -5,43 +5,60 @@ symbolic families, so membership, "does this arc cross the set", fountain
 loci and window enumerations are all decided exactly; only *listings* are
 truncated to a :class:`Window`.
 
-Each closure of a window is one sweep over its feet ``t``, :func:`member_runs`
-or :func:`nc_runs`.  For a fixed foot every constraint is an interval of
-heads ``u``: an explicit arc ``(r, v)`` blocks ``u > v`` when ``r < t < v``
-and ``r < u < v`` when ``t < r``, and each family states its blocked and
-member heads per foot (see :mod:`infgon.families`).  ``member_runs`` visits
-each family only on its foot interval (``member_feet``) and keeps only the
-feet that carry a head; ``nc_runs`` leaves a foot as soon as its heads are
-capped below ``t + n + 1``, reading the fans last, since a band or a
-half-plane empties whole feet.  Merging the intervals (:func:`runs_of`)
-gives each foot's heads as canonical runs (:data:`Runs`), the sweeps' only
-output, in O(W * (m + f)) for window width W, m explicit arcs and f
-families, whatever the closure's size.  Closures are compared and intersected run by run at that cost
-(:func:`runs_symmetric_difference`, :func:`runs_intersection`); the listings
-:func:`members_in_window` and :func:`nc_window` expand the runs, O(output)
-more; :func:`frame` intersects a set's runs with its closure's, and the
-double closure sweeps one bounded listing of ``nc s`` (:func:`double_nc_extras`).
-Testing every candidate arc costs O(W^2 / n * (m + f)); those candidate-filter
-versions are kept, frozen, as the brute-force references ``nc_window_brute``
-and ``members_in_window_brute`` in :mod:`infgon.oracles`.
+Each closure of a window is read off per foot ``t`` by a kernel, one for
+the members of a set and one for its non-crossing closure.  For a fixed
+foot every constraint is an interval of heads ``u``: an explicit arc
+``(r, v)`` blocks ``u > v`` when ``r < t < v`` and ``r < u < v`` when
+``t < r``, and each family states its blocked and member heads per foot
+(see :mod:`infgon.families`).  Merging the intervals (:func:`runs_of`) gives
+the foot's heads as canonical runs (:data:`Runs`) in O(m + f), for m
+explicit arcs and f families.
+
+The kernels run only on the feet :class:`Pieces` plans.  The *anchors* are
+the sets' :func:`features` in the window and ``w.hi``; every foot of an
+anchor's exact span ``[a - n, a]`` is run, and a *far stretch* of more than
+2n feet between exact spans only on its first 2n feet, two per residue
+class mod n.  Why n: at foot t the heads are the ``u = t + 1 (mod n)`` from
+``t + n + 1`` on in intervals whose ends are anchors moved by at most one
+or lie in ``(t, t + n + 1]`` (cutting only the first head), chosen by
+comparing t with anchors (``r < t``, ``x0 <= s_max`` for ``x0`` in
+``[t + 1, t + n]``, ...).  Each such change, and the first head meeting an
+end ``a`` (at ``t = a - n - 1``, where both readings agree), first alters
+the heads at a foot in ``[a - n, a + 1]``.  So between exact spans each
+run end is, per residue class, a constant or ``t + c``, and
+``R(t) = 2 R(t - n) - R(t - 2n)`` continues a stretch from its samples.
+The bound is tight: exact spans ``[a - n + 1, a]`` or ``[a - n, a - 1]``
+break the expansion (``tests/test_pieces.py``), and sample rows of unequal
+run counts raise ``NonAffinePiece``, never a truncated row.
+
+A closure thus costs O(anchors * n * (m + f)) on any window, plus its
+output: :func:`member_runs`, :func:`nc_runs` and the listings expand every
+piece that has sample runs, ``check_pair`` only those whose samples differ,
+and ``core`` and :func:`frame` the meet of the samples.  The double closure
+sweeps one bounded listing of ``nc s`` (:func:`double_nc_extras`).  Testing
+every candidate arc costs O(W^2 / n * (m + f)) on a window of width W;
+those candidate-filter versions are kept, frozen, as the brute-force
+references ``nc_window_brute`` and ``members_in_window_brute`` in
+:mod:`infgon.oracles`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator
 
 from .arcs import Arc, ModelParams, cross, is_admissible, require_admissible
-from .errors import UnsupportedFamilies
+from .errors import NonAffinePiece, UnsupportedFamilies
 from .families import Family, _first_from, family_scalars
 from .regions import IntRegion
 
 __all__ = [
     "ArcSet",
     "FinitenessReport",
+    "Pieces",
     "PtolemyReport",
     "Runs",
     "Window",
@@ -59,7 +76,6 @@ __all__ = [
     "members_in_window",
     "nc_runs",
     "nc_window",
-    "runs_intersection",
     "runs_of",
     "runs_symmetric_difference",
 ]
@@ -181,38 +197,38 @@ def runs_of(per_foot: dict[int, list[tuple[int, int]]], w: Window, n: int) -> Ru
     return out
 
 
-def member_runs(s: ArcSet, w: Window) -> Runs:
-    """The heads of the members of ``s`` inside ``w``, as runs on the feet
-    that carry one: a family far from the members costs nothing per foot."""
-    n, lo, hi = s.params.n, w.lo, w.hi
-    last = hi - 2  # the last foot with a head in the window
+def _member_rows(s: ArcSet, w: Window, feet: Iterable[range]) -> Runs:
+    """The member kernel: the runs of the members of ``s`` on the given feet
+    (increasing ranges inside ``w``), heads up to ``w.hi``.  A family visits
+    only the feet that may carry one of its members (``feet_in``)."""
+    n, hi = s.params.n, w.hi
+    kept = set(chain.from_iterable(feet))
     per_foot: dict[int, list[tuple[int, int]]] = {}
     for r, v in s.explicit:
-        per_foot.setdefault(r, []).append((v, v))
-    for f in s.families:  # each family visits only the feet it has members on
-        first, stop = f.member_feet()
-        first = lo if first is None else max(first, lo)
-        stop = last if stop is None else min(stop, last)
-        for t in range(first, stop + 1):
-            for a, b in f.member_heads(t, n):
-                per_foot.setdefault(t, []).append((a, hi if b is None else b))
+        if r in kept:
+            per_foot.setdefault(r, []).append((v, v))
+    for span in feet:
+        for f in s.families:
+            for t in f.feet_in(span.start, span.stop - 1, n):
+                for a, b in f.member_heads(t, n):
+                    per_foot.setdefault(t, []).append((a, hi if b is None else b))
     return runs_of(per_foot, w, n)
 
 
-def nc_runs(s: ArcSet, w: Window) -> Runs:
-    """The heads of the non-crossing closure of ``s`` inside ``w``, as runs
-    per foot.  Pointwise decisions are exact (tested against the full
-    symbolic set); only the window truncates."""
+def _nc_rows(s: ArcSet, w: Window, feet: Iterable[range]) -> Runs:
+    """The closure kernel: the runs of ``nc s`` on the given feet (increasing
+    ranges inside ``w``), heads up to ``w.hi``.  Pointwise decisions are
+    exact (tested against the full symbolic set)."""
     n, hi = s.params.n, w.hi
     fams = sorted(s.families, key=lambda f: f.kind in ("left_fan", "right_fan"))  # fans last
     arcs = sorted(s.explicit)
-    feet = [r for r, _ in arcs]
+    feet_of = [r for r, _ in arcs]
     inside = [(r + 1, v - 1) for r, v in arcs]  # heads blocked by (r, v) when t < r
     spanning: list[int] = []  # min-heap of heads v of the arcs (r, v) with r < t
     entered = 0
     out: Runs = {}
-    for t in range(w.lo, hi - 1):
-        while entered < len(arcs) and feet[entered] < t:
+    for t in chain.from_iterable(feet):
+        while entered < len(arcs) and feet_of[entered] < t:
             heappush(spanning, arcs[entered][1])
             entered += 1
         while spanning and spanning[0] <= t:
@@ -221,7 +237,7 @@ def nc_runs(s: ArcSet, w: Window) -> Runs:
         u = t + n + 1
         if u > top:
             continue
-        blocked = inside[bisect_right(feet, t) :]
+        blocked = inside[bisect_right(feet_of, t) :]
         for f in fams:
             for a, b in f.crossed_heads(t, n):
                 if b is None:
@@ -248,6 +264,92 @@ def nc_runs(s: ArcSet, w: Window) -> Runs:
         if runs:
             out[t] = runs
     return out
+
+
+def _piece_runs(rows: Runs, first: int, cut: int, last: int, n: int) -> Runs:
+    """The runs on the feet ``first..last`` from the rows before ``cut``,
+    each later foot by R(t) = 2 R(t - n) - R(t - 2n); no rows, no loop."""
+    out: Runs = {t: rows[t] for t in range(first, cut) if t in rows}
+    if not out:
+        return out
+    for t in range(cut, last + 1):
+        p, q = out.get(t - n), out.get(t - 2 * n)
+        if p is None and q is None:
+            continue
+        if p is None or q is None or len(p) != len(q):
+            raise NonAffinePiece(f"piece [{first}, {last}]: feet {t - 2 * n}, {t - n}: {q}, {p}")
+        out[t] = [(2 * a - c, 2 * b - d) for (a, b), (c, d) in zip(p, q)]
+    return out
+
+
+@dataclass(frozen=True)
+class Pieces:
+    """A window's feet cut into pieces ``(first, cut, last)`` for some sets:
+    the kernels run on the feet before ``cut``, the rest follow from them."""
+
+    w: Window
+    n: int
+    spans: tuple[tuple[int, int, int], ...]
+    feet: tuple[range, ...]  # the feet the kernels run on
+
+    @staticmethod
+    def of(w: Window, *sets: ArcSet) -> "Pieces":
+        """Exact spans ``[a - n, a]`` around the anchors; each far stretch
+        between them is cut after its first 2n feet."""
+        n, last = sets[0].params.n, w.hi - 2
+        spans: list[tuple[int, int, int]] = []
+        pts = sorted({*features(*sets), w.hi})
+        ex = t = w.lo  # the feet ex..t-1 are exact and in no piece yet
+        for a in pts[bisect_left(pts, w.lo) : bisect_right(pts, w.hi)]:
+            if a - n - t > 2 * n:  # a far stretch t..a-n-1
+                if ex < t:
+                    spans.append((ex, t, t - 1))
+                spans.append((t, t + 2 * n, a - n - 1))
+                ex = a - n
+            t = a + 1
+        if ex <= last:
+            spans.append((ex, last + 1, last))
+        return Pieces(w, n, tuple(spans), tuple(range(a, c) for a, c, _ in spans))
+
+    def members(self, s: ArcSet) -> Runs:
+        return _member_rows(s, self.w, self.feet)
+
+    def closure(self, s: ArcSet) -> Runs:
+        return _nc_rows(s, self.w, self.feet)
+
+    def expand(self, rows: Runs) -> Runs:
+        """The runs on every foot of the window, from the kernels' rows."""
+        return {t: r for p in self.spans for t, r in _piece_runs(rows, *p, self.n).items()}
+
+    def difference(self, lhs: Runs, rhs: Runs) -> list[Arc]:
+        """The arcs in exactly one of two closures given by their rows,
+        sorted.  Only the pieces whose rows differ are expanded."""
+        if lhs == rhs:
+            return []
+        n, out = self.n, []
+        for p in self.spans:
+            if any(lhs.get(t) != rhs.get(t) for t in range(p[0], p[1])):
+                pair = _piece_runs(lhs, *p, n), _piece_runs(rhs, *p, n)
+                out += runs_symmetric_difference(*pair, n)
+        return out
+
+    def meet(self, lhs: Runs, rhs: Runs) -> list[Arc]:
+        """The arcs in both closures given by their rows, sorted."""
+        rows = {t: m for t, r in lhs.items() if t in rhs and (m := _meet(r, rhs[t]))}
+        return _arcs(self.expand(rows).items(), self.n)
+
+
+def member_runs(s: ArcSet, w: Window) -> Runs:
+    """The heads of the members of ``s`` inside ``w``, as runs per foot."""
+    plan = Pieces.of(w, s)
+    return plan.expand(plan.members(s))
+
+
+def nc_runs(s: ArcSet, w: Window) -> Runs:
+    """The heads of the non-crossing closure of ``s`` inside ``w``, as runs
+    per foot; only the window truncates."""
+    plan = Pieces.of(w, s)
+    return plan.expand(plan.closure(s))
 
 
 def _arcs(runs: Iterable[tuple[int, list[tuple[int, int]]]], n: int) -> list[Arc]:
@@ -285,11 +387,6 @@ def runs_symmetric_difference(lhs: Runs, rhs: Runs, n: int) -> list[Arc]:
         return []
     feet = sorted(t for t in lhs.keys() | rhs.keys() if lhs.get(t) != rhs.get(t))
     return _arcs(((t, _xor(lhs.get(t, []), rhs.get(t, []))) for t in feet), n)
-
-
-def runs_intersection(lhs: Runs, rhs: Runs, n: int) -> list[Arc]:
-    """The arcs in both run maps, sorted."""
-    return _arcs(((t, _meet(r, rhs[t])) for t, r in lhs.items() if t in rhs), n)
 
 
 def members_in_window(s: ArcSet, w: Window) -> list[Arc]:
@@ -331,7 +428,8 @@ def finiteness_check(s: ArcSet) -> FinitenessReport:
 
 def frame(s: ArcSet, w: Window) -> list[Arc]:
     """Members of ``s`` inside ``w`` crossing nothing in ``s``: those in ``nc s``."""
-    return runs_intersection(member_runs(s, w), nc_runs(s, w), s.params.n)
+    plan = Pieces.of(w, s)
+    return plan.meet(plan.members(s), plan.closure(s))
 
 
 @dataclass(frozen=True)
@@ -381,7 +479,8 @@ def double_nc_extras(s: ArcSet, w: Window) -> list[Arc]:
     n = s.params.n
     pts = [w.lo, w.hi, *features(s)]
     bound = Window(min(pts) - (n + 2), max(pts) + (n + 2))
-    nc = ArcSet(s.params, frozenset(nc_window(s, bound)))
+    nc = object.__new__(ArcSet)  # its arcs are admissible by construction: no second check
+    nc.__dict__.update(params=s.params, explicit=frozenset(nc_window(s, bound)), families=())
     return runs_symmetric_difference(nc_runs(nc, w), member_runs(s, w), n)
 
 

@@ -8,10 +8,10 @@ sets are infinite) that covers the integers defining both sets with margin
 n + 2; the two fountain conditions are decided exactly from the family
 descriptors.  Reports always carry witnesses.
 
-The set equalities and :func:`core` compare (or intersect) the closures'
-per-foot head runs from :mod:`infgon.arcsets` and build arcs only for the
-witnesses and the core, so they cost O(W * (m + f)) on a window of width W
-for m explicit arcs and f families, however many arcs the closures hold.
+The set equalities and :func:`core` compare (or intersect) the closures
+piece by piece (:class:`~infgon.arcsets.Pieces`) and build arcs only for
+the witnesses and the core: O(anchors * n * (m + f)) for m explicit arcs
+and f families, plus the output, whatever the window's width.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .arcs import Arc, ModelParams, cross, require_admissible
-from .arcsets import (ArcSet, Runs, Window, features, finiteness_check, member_runs,
-                      nc_runs, runs_intersection, runs_symmetric_difference)
+from .arcsets import ArcSet, Pieces, Window, features, finiteness_check
 from .errors import WindowTooSmall
 
 __all__ = [
@@ -67,8 +66,7 @@ class PairReport:
         }
 
 
-def _equality(lhs: Runs, rhs: Runs, n: int) -> Condition:
-    diff = runs_symmetric_difference(lhs, rhs, n)
+def _equality(diff: list[Arc]) -> Condition:
     return Condition(not diff, "windowed", tuple(diff))
 
 
@@ -93,8 +91,9 @@ def check_pair(
             f"window [{w.lo}, {w.hi}] must cover the explicit endpoints and family "
             f"scalars [{min(pts)}, {max(pts)}] with margin {n + 2}"
         )
-    cond1 = _equality(member_runs(x, w), nc_runs(y, w), n)
-    cond2 = _equality(member_runs(y, w), nc_runs(x, w), n)
+    plan = Pieces.of(w, x, y)
+    cond1 = _equality(plan.difference(plan.members(x), plan.closure(y)))
+    cond2 = _equality(plan.difference(plan.members(y), plan.closure(x)))
     fx = finiteness_check(x)
     fy = finiteness_check(y)
     cond3 = Condition(
@@ -115,7 +114,8 @@ def core(x: ArcSet, y: ArcSet, w: Window) -> list[Arc]:
     any window: it lists members, which need no view past the window."""
     if x.params != y.params:
         raise ValueError("pair members disagree on the modulus n")
-    return runs_intersection(member_runs(x, w), member_runs(y, w), x.params.n)
+    plan = Pieces.of(w, x, y)
+    return plan.meet(plan.members(x), plan.members(y))
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,10 @@ class NonAdmissibleImage(InfgonError):
     """
 
 
+class NonAffinePiece(InfgonError):
+    """Internal: a far stretch's sample rows of one residue differ in run count."""
+
+
 class DNotInFrame(InfgonError):
     """Divider arcs must belong to the rotated set and cross nothing in it."""
 

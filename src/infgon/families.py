@@ -24,6 +24,9 @@ on.  ``member_feet()`` gives the closed interval of feet outside which
 * ``HalfLeft``: ``(-inf, p - 2]``;
 * ``HalfRight``: ``[q, inf)``.
 
+``feet_in(lo, hi, n)`` is that interval clipped to ``[lo, hi]`` as a range,
+which for a ``LeftFan`` steps by n through the feet ``t = p - 1 (mod n)``.
+
 ``crossed_by`` and ``members_in`` are thin wrappers over the per-foot
 methods, and the closure sweeps in :mod:`infgon.arcsets` read them directly.
 :func:`_first_from` is the package's one residue rule, shared by the sweeps
@@ -75,6 +78,12 @@ def _crossed_by(self, a: Arc, params: ModelParams) -> bool:
     )
 
 
+def _feet_in(self, lo: int, hi: int, n: int) -> range:
+    first, last = self.member_feet()
+    return range(lo if first is None else max(first, lo),
+                 (hi if last is None else min(last, hi)) + 1)
+
+
 def _members_in(self, lo: int, hi: int, params: ModelParams) -> Iterator[Arc]:
     """Members with both endpoints in ``[lo, hi]``, sorted."""
     n = params.n
@@ -101,6 +110,9 @@ class LeftFan:
 
     def member_feet(self) -> Feet:
         return None, min(self.s_max, self.p - 2)
+
+    def feet_in(self, lo: int, hi: int, n: int) -> range:
+        return range(_first_from(lo, self.p - 1, n), min(self.s_max, self.p - 2, hi) + 1, n)
 
     def member_heads(self, t: int, n: int) -> Heads:
         if t <= min(self.s_max, self.p - 2) and (self.p - 1 - t) % n == 0:
@@ -135,6 +147,7 @@ class RightFan:
     kind = "right_fan"
     crossed_by = _crossed_by
     members_in = _members_in
+    feet_in = _feet_in
 
     def is_member(self, a: Arc, params: ModelParams) -> bool:
         return a.t == self.p and a.u >= self.u_min
@@ -173,6 +186,7 @@ class Band:
     kind = "band"
     crossed_by = _crossed_by
     members_in = _members_in
+    feet_in = _feet_in
 
     def is_member(self, a: Arc, params: ModelParams) -> bool:
         return a.t <= self.k_max and a.u >= self.l_min
@@ -208,6 +222,7 @@ class HalfLeft:
     kind = "half_left"
     crossed_by = _crossed_by
     members_in = _members_in
+    feet_in = _feet_in
 
     def is_member(self, a: Arc, params: ModelParams) -> bool:
         return a.u <= self.p
@@ -239,6 +254,7 @@ class HalfRight:
     kind = "half_right"
     crossed_by = _crossed_by
     members_in = _members_in
+    feet_in = _feet_in
 
     def is_member(self, a: Arc, params: ModelParams) -> bool:
         return a.t >= self.q

@@ -4,8 +4,6 @@ sets of arcs."""
 
 import dataclasses
 import random
-from functools import lru_cache
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,40 +12,19 @@ from hypothesis import strategies as st
 from infgon import (
     Arc,
     ArcSet,
-    DividerSet,
     Window,
     check_pair,
     contains,
     core,
     finiteness_check,
-    mutate_pair,
     rotate_set,
 )
 from infgon.arcsets import features
-from infgon.documents import parse_document
 from infgon.errors import WindowTooSmall
 from infgon.families import Band, HalfLeft, HalfRight, LeftFan, RightFan, family_scalars
 from infgon.oracles import members_in_window_brute, nc_window_brute, random_family_rotation_case
 
-DEMO = Path(__file__).resolve().parent.parent / "demos" / "example_sets.json"
-
-
-@lru_cache(maxsize=None)
-def demo():
-    return parse_document(DEMO.read_bytes())
-
-
-@lru_cache(maxsize=None)
-def orbit() -> list[tuple[ArcSet, ArcSet]]:
-    """The demo pair and its ten mutation steps by D on a fixed window."""
-    doc = demo()
-    d = DividerSet(doc.params, doc.sets["D"].explicit)
-    x, y, w = doc.sets["X"], doc.sets["Ync"], Window(-80, 80)
-    states = [(x, y)]
-    for _ in range(10):
-        x, y, _ = mutate_pair(x, y, d, w)
-        states.append((x, y))
-    return states
+from conftest import demo, orbit
 
 
 def shifted(s: ArcSet, k: int) -> ArcSet:
