@@ -199,8 +199,7 @@ def runs_of(per_foot: dict[int, list[tuple[int, int]]], w: Window, n: int) -> Ru
 
 def _member_rows(s: ArcSet, w: Window, feet: Iterable[range]) -> Runs:
     """The member kernel: the runs of the members of ``s`` on the given feet
-    (increasing ranges inside ``w``), heads up to ``w.hi``.  A family visits
-    only the feet that may carry one of its members (``feet_in``)."""
+    (increasing ranges in ``w``); a family visits only its ``feet_in``."""
     n, hi = s.params.n, w.hi
     kept = set(chain.from_iterable(feet))
     per_foot: dict[int, list[tuple[int, int]]] = {}
@@ -217,8 +216,7 @@ def _member_rows(s: ArcSet, w: Window, feet: Iterable[range]) -> Runs:
 
 def _nc_rows(s: ArcSet, w: Window, feet: Iterable[range]) -> Runs:
     """The closure kernel: the runs of ``nc s`` on the given feet (increasing
-    ranges inside ``w``), heads up to ``w.hi``.  Pointwise decisions are
-    exact (tested against the full symbolic set)."""
+    ranges in ``w``), each decided exactly against the full symbolic set."""
     n, hi = s.params.n, w.hi
     fams = sorted(s.families, key=lambda f: f.kind in ("left_fan", "right_fan"))  # fans last
     arcs = sorted(s.explicit)
@@ -319,7 +317,11 @@ class Pieces:
 
     def expand(self, rows: Runs) -> Runs:
         """The runs on every foot of the window, from the kernels' rows."""
-        return {t: r for p in self.spans for t, r in _piece_runs(rows, *p, self.n).items()}
+        out = dict(rows)
+        for first, cut, last in self.spans:
+            if cut <= last:  # a far stretch
+                out.update(_piece_runs(rows, first, cut, last, self.n))
+        return out if len(out) == len(rows) else dict(sorted(out.items()))
 
     def difference(self, lhs: Runs, rhs: Runs) -> list[Arc]:
         """The arcs in exactly one of two closures given by their rows,
@@ -481,7 +483,8 @@ def double_nc_extras(s: ArcSet, w: Window) -> list[Arc]:
     bound = Window(min(pts) - (n + 2), max(pts) + (n + 2))
     nc = object.__new__(ArcSet)  # its arcs are admissible by construction: no second check
     nc.__dict__.update(params=s.params, explicit=frozenset(nc_window(s, bound)), families=())
-    return runs_symmetric_difference(nc_runs(nc, w), member_runs(s, w), n)
+    plan = Pieces.of(w, nc, s)
+    return plan.difference(plan.closure(nc), plan.members(s))
 
 
 def in_nc_nc(a: Arc, s: ArcSet) -> bool:

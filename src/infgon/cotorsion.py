@@ -66,10 +66,6 @@ class PairReport:
         }
 
 
-def _equality(diff: list[Arc]) -> Condition:
-    return Condition(not diff, "windowed", tuple(diff))
-
-
 def check_pair(
     x: ArcSet, y: ArcSet, w: Window, *, enforce_margin: bool = True
 ) -> PairReport:
@@ -92,8 +88,10 @@ def check_pair(
             f"scalars [{min(pts)}, {max(pts)}] with margin {n + 2}"
         )
     plan = Pieces.of(w, x, y)
-    cond1 = _equality(plan.difference(plan.members(x), plan.closure(y)))
-    cond2 = _equality(plan.difference(plan.members(y), plan.closure(x)))
+    d1 = plan.difference(plan.members(x), plan.closure(y))
+    d2 = plan.difference(plan.members(y), plan.closure(x))
+    cond1 = Condition(not d1, "windowed", tuple(d1))
+    cond2 = Condition(not d2, "windowed", tuple(d2))
     fx = finiteness_check(x)
     fy = finiteness_check(y)
     cond3 = Condition(

@@ -24,8 +24,7 @@ on.  ``member_feet()`` gives the closed interval of feet outside which
 * ``HalfLeft``: ``(-inf, p - 2]``;
 * ``HalfRight``: ``[q, inf)``.
 
-``feet_in(lo, hi, n)`` is that interval clipped to ``[lo, hi]`` as a range,
-which for a ``LeftFan`` steps by n through the feet ``t = p - 1 (mod n)``.
+``feet_in(lo, hi, n)`` clips it to ``[lo, hi]``; a ``LeftFan``'s steps by n.
 
 ``crossed_by`` and ``members_in`` are thin wrappers over the per-foot
 methods, and the closure sweeps in :mod:`infgon.arcsets` read them directly.
