@@ -2,7 +2,6 @@
 
     python scripts/bench_all.py --label local
     python scripts/bench_all.py --label local --pairs 6 --baseline ../parent-checkout
-    python scripts/bench_all.py --label local --workloads verify mutate
 
 Each run is ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` in a checkout, one process at a time.  The file records, per
@@ -107,8 +106,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=1, help="runs per workload and checkout")
     ap.add_argument("--baseline", type=Path, help="a checkout to measure alternately")
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS),
-                    help="the workloads to run (default: all)")
     ap.add_argument("--out", type=Path, help="default: BENCH_<label>.json at the repo root")
     a = ap.parse_args(argv)
     here, base = ROOT, a.baseline.resolve() if a.baseline else None
@@ -116,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
         compile_src(checkout)
     mine: dict[str, list[dict]] = {}
     theirs: dict[str, list[dict]] = {}
-    for w in a.workloads:
+    for w in WORKLOADS:
         mine[w], theirs[w] = [], []
         for i in range(a.pairs):
             seed = a.seed + i

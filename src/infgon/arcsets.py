@@ -14,17 +14,18 @@ foot every constraint is an interval of heads ``u``: an explicit arc
 the foot's heads as canonical runs (:data:`Runs`) in O(m + f), for m
 explicit arcs and f families.
 
-The kernels run only on the feet :class:`Pieces` plans.  The *anchors* are
-the sets' :func:`features` in the window and ``w.hi``; every foot of an
-anchor's exact span ``[a - n, a]`` is run, and a *far stretch* of more than
-2n feet between exact spans only on its first 2n feet, two per residue
-class mod n.  Why n: at foot t the heads are the ``u = t + 1 (mod n)`` from
-``t + n + 1`` on in intervals whose ends are anchors moved by at most one
-or lie in ``(t, t + n + 1]`` (cutting only the first head), chosen by
-comparing t with anchors (``r < t``, ``x0 <= s_max`` for ``x0`` in
-``[t + 1, t + n]``, ...).  Each such change, and the first head meeting an
-end ``a`` (at ``t = a - n - 1``, where both readings agree), first alters
-the heads at a foot in ``[a - n, a + 1]``.  So between exact spans each
+The kernels run only on the feet that a plan of *pieces* picks.  The
+*anchors* are the sets' :func:`features` in the window and ``w.hi``; every
+foot of an anchor's exact span ``[a - n, a]`` is run, and a *far stretch*
+of more than 2n feet between exact spans only on its first 2n feet, two per
+residue class mod n.  Why n: at foot t the heads are the
+``u = t + 1 (mod n)`` from ``t + n + 1`` on in intervals whose ends are
+anchors moved by at most one or lie in ``(t, t + n + 1]`` (cutting only
+the first head), chosen by comparing t with anchors (``r < t``,
+``x0 <= s_max`` for ``x0`` in ``[t + 1, t + n]``, ...).  Each such
+change, and the first head meeting an end ``a`` (at ``t = a - n - 1``,
+where both readings agree), first alters the heads at a foot in
+``[a - n, a + 1]``.  So between exact spans each
 run end is, per residue class, a constant or ``t + c``, and
 ``R(t) = 2 R(t - n) - R(t - 2n)`` continues a stretch from its samples.
 The bound is tight: exact spans ``[a - n + 1, a]`` or ``[a - n, a - 1]``
@@ -58,7 +59,6 @@ from .regions import IntRegion
 __all__ = [
     "ArcSet",
     "FinitenessReport",
-    "Pieces",
     "PtolemyReport",
     "Runs",
     "Window",
@@ -281,17 +281,16 @@ def _piece_runs(rows: Runs, first: int, cut: int, last: int, n: int) -> Runs:
 
 
 @dataclass(frozen=True)
-class Pieces:
+class _Pieces:
     """A window's feet cut into pieces ``(first, cut, last)`` for some sets:
     the kernels run on the feet before ``cut``, the rest follow from them."""
 
     w: Window
     n: int
     spans: tuple[tuple[int, int, int], ...]
-    feet: tuple[range, ...]  # the feet the kernels run on
 
     @staticmethod
-    def of(w: Window, *sets: ArcSet) -> "Pieces":
+    def of(w: Window, *sets: ArcSet) -> "_Pieces":
         """Exact spans ``[a - n, a]`` around the anchors; each far stretch
         between them is cut after its first 2n feet."""
         n, last = sets[0].params.n, w.hi - 2
@@ -307,13 +306,15 @@ class Pieces:
             t = a + 1
         if ex <= last:
             spans.append((ex, last + 1, last))
-        return Pieces(w, n, tuple(spans), tuple(range(a, c) for a, c, _ in spans))
+        return _Pieces(w, n, tuple(spans))
 
     def members(self, s: ArcSet) -> Runs:
-        return _member_rows(s, self.w, self.feet)
+        """The member kernel's rows on the feet before each piece's cut."""
+        return _member_rows(s, self.w, [range(a, c) for a, c, _ in self.spans])
 
     def closure(self, s: ArcSet) -> Runs:
-        return _nc_rows(s, self.w, self.feet)
+        """The closure kernel's rows on the feet before each piece's cut."""
+        return _nc_rows(s, self.w, [range(a, c) for a, c, _ in self.spans])
 
     def expand(self, rows: Runs) -> Runs:
         """The runs on every foot of the window, from the kernels' rows."""
@@ -343,14 +344,14 @@ class Pieces:
 
 def member_runs(s: ArcSet, w: Window) -> Runs:
     """The heads of the members of ``s`` inside ``w``, as runs per foot."""
-    plan = Pieces.of(w, s)
+    plan = _Pieces.of(w, s)
     return plan.expand(plan.members(s))
 
 
 def nc_runs(s: ArcSet, w: Window) -> Runs:
     """The heads of the non-crossing closure of ``s`` inside ``w``, as runs
     per foot; only the window truncates."""
-    plan = Pieces.of(w, s)
+    plan = _Pieces.of(w, s)
     return plan.expand(plan.closure(s))
 
 
@@ -430,7 +431,7 @@ def finiteness_check(s: ArcSet) -> FinitenessReport:
 
 def frame(s: ArcSet, w: Window) -> list[Arc]:
     """Members of ``s`` inside ``w`` crossing nothing in ``s``: those in ``nc s``."""
-    plan = Pieces.of(w, s)
+    plan = _Pieces.of(w, s)
     return plan.meet(plan.members(s), plan.closure(s))
 
 
@@ -481,10 +482,8 @@ def double_nc_extras(s: ArcSet, w: Window) -> list[Arc]:
     n = s.params.n
     pts = [w.lo, w.hi, *features(s)]
     bound = Window(min(pts) - (n + 2), max(pts) + (n + 2))
-    nc = object.__new__(ArcSet)  # its arcs are admissible by construction: no second check
-    nc.__dict__.update(params=s.params, explicit=frozenset(nc_window(s, bound)), families=())
-    plan = Pieces.of(w, nc, s)
-    return plan.difference(plan.closure(nc), plan.members(s))
+    nc = ArcSet(s.params, frozenset(nc_window(s, bound)))
+    return runs_symmetric_difference(nc_runs(nc, w), member_runs(s, w), n)
 
 
 def in_nc_nc(a: Arc, s: ArcSet) -> bool:

@@ -9,7 +9,7 @@ n + 2; the two fountain conditions are decided exactly from the family
 descriptors.  Reports always carry witnesses.
 
 The set equalities and :func:`core` compare (or intersect) the closures
-piece by piece (:class:`~infgon.arcsets.Pieces`) and build arcs only for
+piece by piece (``arcsets._Pieces``) and build arcs only for
 the witnesses and the core: O(anchors * n * (m + f)) for m explicit arcs
 and f families, plus the output, whatever the window's width.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .arcs import Arc, ModelParams, cross, require_admissible
-from .arcsets import ArcSet, Pieces, Window, features, finiteness_check
+from .arcsets import ArcSet, Window, _Pieces, features, finiteness_check
 from .errors import WindowTooSmall
 
 __all__ = [
@@ -87,7 +87,7 @@ def check_pair(
             f"window [{w.lo}, {w.hi}] must cover the explicit endpoints and family "
             f"scalars [{min(pts)}, {max(pts)}] with margin {n + 2}"
         )
-    plan = Pieces.of(w, x, y)
+    plan = _Pieces.of(w, x, y)
     d1 = plan.difference(plan.members(x), plan.closure(y))
     d2 = plan.difference(plan.members(y), plan.closure(x))
     cond1 = Condition(not d1, "windowed", tuple(d1))
@@ -112,7 +112,7 @@ def core(x: ArcSet, y: ArcSet, w: Window) -> list[Arc]:
     any window: it lists members, which need no view past the window."""
     if x.params != y.params:
         raise ValueError("pair members disagree on the modulus n")
-    plan = Pieces.of(w, x, y)
+    plan = _Pieces.of(w, x, y)
     return plan.meet(plan.members(x), plan.members(y))
 
 

@@ -32,9 +32,8 @@ from infgon import (
     nc_window,
     parse_document,
 )
-from infgon import arcsets
 from infgon.arcsets import member_runs, nc_runs
-from infgon.errors import NonAdmissible, UnsupportedFamilies, ValidationError
+from infgon.errors import NonAdmissible, UnsupportedFamilies
 from infgon.families import family_scalars
 from infgon.oracles import (
     members_in_window_brute,
@@ -338,16 +337,3 @@ def test_members_in_window_matches_brute_after_ten_steps(ten_step_demo_y):
     assert (len(y.explicit), len(y.families)) == (623, 42)
     for w in (Window(-80, 80), Window(-30, 45)):
         assert members_in_window(y, w) == members_in_window_brute(y, w)
-
-
-def test_public_constructors_validate_and_listings_are_not_checked_again(monkeypatch):
-    with pytest.raises(NonAdmissible):
-        ArcSet(P3, frozenset({Arc(3, 6)}))
-    with pytest.raises(ValidationError):
-        parse_document(b'{"n": 3, "sets": {"S": {"explicit": [[3, 6]]}}}')
-    s = ArcSet.of(P3, [Arc(0, 4), Arc(2, 9)])
-    want = double_nc_extras(s, Window(-6, 12))
-    calls = []
-    monkeypatch.setattr(arcsets, "require_admissible", lambda *a: calls.append(a))
-    assert double_nc_extras(s, Window(-6, 12)) == want
-    assert calls == []

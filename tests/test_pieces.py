@@ -21,7 +21,7 @@ from infgon import (
     frame,
     rotate_set,
 )
-from infgon.arcsets import (Pieces, _member_rows, _nc_rows, _piece_runs, features, member_runs,
+from infgon.arcsets import (_member_rows, _nc_rows, _piece_runs, _Pieces, features, member_runs,
                             nc_runs)
 from infgon.errors import NonAffinePiece
 from infgon.families import Band, HalfLeft, HalfRight, LeftFan, RightFan
@@ -96,7 +96,7 @@ def test_pieces_expand_to_the_kernel_on_every_foot(n, data):
     assert rep.y_equals_nc_x.witnesses == tuple(sorted(arcs_of(my, n) ^ arcs_of(ncx, n)))
     assert core(x, y, w) == sorted(arcs_of(mx, n) & arcs_of(my, n))
     assert frame(x, w) == sorted(arcs_of(mx, n) & arcs_of(ncx, n))
-    plan = Pieces.of(w, x, y)
+    plan = _Pieces.of(w, x, y)
     assert plan.expand(plan.closure(x)) == ncx
     assert [t for a, _, b in plan.spans for t in range(a, b + 1)] == list(range(w.lo, w.hi - 1))
 
@@ -139,10 +139,10 @@ def test_verdict_and_core_cost_no_more_on_a_wider_window(monkeypatch):
 def test_far_fans_give_the_same_pieces_at_any_distance():
     p = ModelParams(3)
 
-    def far(dist: int) -> Pieces:
+    def far(dist: int) -> _Pieces:
         s = ArcSet.of(p, [Arc(0, 4)],
                       [HalfLeft(-3), RightFan(-dist, dist), LeftFan(dist, -dist)])
-        return Pieces.of(Window(-dist - 10, dist + 10), s)
+        return _Pieces.of(Window(-dist - 10, dist + 10), s)
 
     assert len(far(30).spans) == len(far(30_000).spans)
 
