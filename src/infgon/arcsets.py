@@ -475,14 +475,20 @@ def double_nc_extras(s: ArcSet, w: Window) -> list[Arc]:
     ``[m - (n + 2), M + (n + 2)]``, swept over ``w`` once, is ``nc nc s`` on
     ``w``; as ``s`` lies in ``nc nc s``, its runs differ from those of ``s``
     exactly at the extras.  A margin around ``w`` alone misses witnesses
-    when ``s`` reaches past ``w``.
+    when ``s`` reaches past ``w``.  Only an arc with an endpoint strictly
+    inside ``w`` can cross an arc of ``w``, so the listing keeps the feet
+    inside ``w`` and, left of it, only the heads inside ``w``: its length
+    grows with ``w`` times the hull, not with the square of the hull.
     """
     if s.families:
         raise UnsupportedFamilies("the double closure supports finite arc sets only")
-    n = s.params.n
-    pts = [w.lo, w.hi, *features(s)]
+    n, lo, hi = s.params.n, w.lo, w.hi
+    pts = [lo, hi, *features(s)]
     bound = Window(min(pts) - (n + 2), max(pts) + (n + 2))
-    nc = ArcSet(s.params, frozenset(nc_window(s, bound)))
+    rows = ((t, r if t > lo else _meet(r, [(_first_from(lo + 1, t + 1, n),
+                                            _first_from(hi, t + 1, n))]))
+            for t, r in nc_runs(s, bound).items() if t < hi)  # an end inside w
+    nc = ArcSet(s.params, frozenset(_arcs(rows, n)))
     return runs_symmetric_difference(nc_runs(nc, w), member_runs(s, w), n)
 
 

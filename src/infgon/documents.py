@@ -98,6 +98,9 @@ def parse_document(data: bytes | str, n: int | None = None) -> Document:
         unknown = set(desc) - {"explicit", "families"}
         if unknown:
             raise ValidationError(f"{locus}: unknown fields {sorted(unknown)}")
+        for field in ("explicit", "families"):
+            if not isinstance(desc.get(field, []), list):
+                raise ValidationError(f"{locus}.{field}: expected a list")
         explicit = []
         for i, pair in enumerate(desc.get("explicit", [])):
             t, u = _int_pair(pair, f"{locus}.explicit[{i}]")

@@ -1,45 +1,45 @@
 """Symbolic descriptors for the infinite arc families used in closures.
 
-Five closed-form kinds suffice for every infinite set this package needs:
+Each of the five kinds declares one *box* ``(t0, t1, u0, u1)``: its members
+are the admissible ``(t, u)`` with foot in ``[t0, t1]`` and head in
+``[u0, u1]``, ``None`` being an unbounded end.
 
-* ``LeftFan(p, s_max)``   -- all admissible ``(s, p)`` with ``s <= s_max``;
-* ``RightFan(p, u_min)``  -- all admissible ``(p, u)`` with ``u >= u_min``;
-* ``Band(k_max, l_min)``  -- all admissible ``(k, l)`` with ``k <= k_max`` and
-  ``l >= l_min``;
-* ``HalfLeft(p)``         -- all admissible arcs with both endpoints ``<= p``;
-* ``HalfRight(q)``        -- dually, both endpoints ``>= q``.
+* ``LeftFan(p, s_max)``   -- ``(None, s_max, p, p)``;
+* ``RightFan(p, u_min)``  -- ``(p, p, u_min, None)``;
+* ``Band(k_max, l_min)``  -- ``(None, k_max, l_min, None)``;
+* ``HalfLeft(p)``         -- ``(None, p, None, p)``: both endpoints ``<= p``;
+* ``HalfRight(q)``        -- ``(q, None, q, None)``: both endpoints ``>= q``.
 
-Each kind states its geometry once, per foot.  For a fixed left endpoint
-``t``, ``member_heads(t, n)`` gives the heads ``u`` of its members
-``(t, u)`` and ``crossed_heads(t, n)`` the heads of the arcs ``(t, u)`` that
-some member crosses.  Both are tuples of closed intervals ``(a, b)``, with
-``b = None`` for ``[a, inf)``; they ignore admissibility, which the caller
-imposes by stepping through the heads ``u = t + 1 (mod n)`` from ``t + n + 1``
-on.  ``member_feet()`` gives the closed interval of feet outside which
-``member_heads`` is empty (``None`` for an unbounded end):
+:class:`_Boxed` derives the rest of membership once from the box.
+``is_member`` tests it, so the brute-force references in
+:mod:`infgon.oracles` read nothing per foot.  ``member_heads(t, n)`` gives
+the heads of the members ``(t, u)`` as closed intervals ``(a, b)``, with
+``b = None`` for ``[a, inf)``.  It ignores admissibility, which the caller
+imposes by stepping through the heads ``u = t + 1 (mod n)`` from
+``t + n + 1`` on, except that a single head ``u0 = u1`` has members only on
+the feet ``t = u1 - 1 (mod n)``.  ``feet_in(lo, hi, n)`` is the range of
+feet in ``[lo, hi]`` that can carry a member, stepping by n for a single
+head.  A box whose feet reach ``-inf`` has a left fountain at each of its
+heads (``left_locus``), and one whose heads reach ``+inf`` a right fountain
+at each of its feet (``right_locus``).
 
-* ``RightFan``: ``[p, p]``;
-* ``LeftFan``: ``(-inf, min(s_max, p - 2)]``;
-* ``Band``: ``(-inf, k_max]``;
-* ``HalfLeft``: ``(-inf, p - 2]``;
-* ``HalfRight``: ``[q, inf)``.
-
-``feet_in(lo, hi, n)`` clips it to ``[lo, hi]``; a ``LeftFan``'s steps by n.
-
-``crossed_by`` and ``members_in`` are thin wrappers over the per-foot
-methods, and the closure sweeps in :mod:`infgon.arcsets` read them directly.
+``crossed_heads(t, n)``, the heads of the arcs ``(t, u)`` that some member
+crosses, stays with each kind.  It is the one derivation with residue
+cases: which member crosses first depends on the side of the box the foot
+lies on and on residues mod n, so one rule over the box would be longer
+than the five it replaces.  ``crossed_by`` and ``members_in`` wrap the
+per-foot methods and are bound in each kind's own class; the closure
+sweeps in :mod:`infgon.arcsets` read the per-foot methods directly.
 :func:`_first_from` is the package's one residue rule, shared by the sweeps
 and the family rotation in :mod:`infgon.mutation`, which keys each kind's
-rotation rule by ``kind``.
-``is_member`` stays a direct test, so the brute-force references in
-:mod:`infgon.oracles` do not depend on the per-foot methods.  Each kind also
-gives its fountain-locus contribution, and every predicate is pinned against
-brute enumeration in the test suite.
+rotation rule by ``kind``.  Every predicate is pinned against brute
+enumeration in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterator, Union
 
 from .arcs import Arc, ModelParams
@@ -60,8 +60,8 @@ __all__ = [
 
 # closed head intervals (a, b) for one foot; b is None for [a, inf)
 Heads = tuple[tuple[int, int | None], ...]
-# closed foot interval (a, b) outside which member_heads is empty; None is unbounded
-Feet = tuple[int | None, int | None]
+# (first foot, last foot, first head, last head); None is unbounded
+Box = tuple[int | None, int | None, int | None, int | None]
 
 
 def _first_from(lo: int, target: int, n: int) -> int:
@@ -77,12 +77,6 @@ def _crossed_by(self, a: Arc, params: ModelParams) -> bool:
     )
 
 
-def _feet_in(self, lo: int, hi: int, n: int) -> range:
-    first, last = self.member_feet()
-    return range(lo if first is None else max(first, lo),
-                 (hi if last is None else min(last, hi)) + 1)
-
-
 def _members_in(self, lo: int, hi: int, params: ModelParams) -> Iterator[Arc]:
     """Members with both endpoints in ``[lo, hi]``, sorted."""
     n = params.n
@@ -93,30 +87,70 @@ def _members_in(self, lo: int, hi: int, params: ModelParams) -> Iterator[Arc]:
                 yield Arc(t, u)
 
 
+def _region(lo: int | None, hi: int | None) -> IntRegion:
+    """The interval ``[lo, hi]`` (not both ends ``None``) as a region."""
+    if lo is None:
+        return IntRegion.of(left_rays=[hi])
+    if hi is None:
+        return IntRegion.of(right_rays=[lo])
+    return IntRegion.of(points=range(lo, hi + 1))
+
+
+class _Boxed:
+    """Membership, member heads, member feet and fountain loci, read off
+    each kind's ``box``.  A box is a ``cached_property``: not a dataclass
+    field, so equality, hashing, ``repr`` and the JSON never see it, and
+    built once per instance, so the derived methods on the closure sweeps'
+    hot path cost what the hand-written ones did."""
+
+    box: Box
+
+    def is_member(self, a: Arc, params: ModelParams) -> bool:
+        t0, t1, u0, u1 = self.box
+        t, u = a
+        return ((t0 is None or t0 <= t) and (t1 is None or t <= t1)
+                and (u0 is None or u0 <= u) and (u1 is None or u <= u1))
+
+    def member_heads(self, t: int, n: int) -> Heads:
+        t0, t1, u0, u1 = self.box
+        if (t0 is not None and t < t0) or (t1 is not None and t > t1):
+            return ()
+        u = t + 2 if u0 is None or u0 < t + 2 else u0
+        if u1 is not None and (u > u1 or (u0 == u1 and (u1 - 1 - t) % n)):
+            return ()
+        return ((u, u1),)
+
+    def feet_in(self, lo: int, hi: int, n: int) -> range:
+        t0, t1, u0, u1 = self.box
+        if t0 is not None:
+            lo = max(t0, lo)
+        if t1 is not None:
+            hi = min(t1, hi)
+        if u1 is None:
+            return range(lo, hi + 1)
+        hi = min(hi, u1 - 2)  # a member's head lies at least two past its foot
+        return range(_first_from(lo, u1 - 1, n), hi + 1, n) if u0 == u1 else range(lo, hi + 1)
+
+    def left_locus(self) -> IntRegion:
+        t0, _, u0, u1 = self.box
+        return _region(u0, u1) if t0 is None else IntRegion.empty()
+
+    def right_locus(self) -> IntRegion:
+        t0, t1, _, u1 = self.box
+        return _region(t0, t1) if u1 is None else IntRegion.empty()
+
+
 @dataclass(frozen=True)
-class LeftFan:
+class LeftFan(_Boxed):
     """All admissible arcs ending at ``p`` with foot at most ``s_max``."""
 
     p: int
     s_max: int
 
     kind = "left_fan"
+    box = cached_property(lambda f: (None, f.s_max, f.p, f.p))
     crossed_by = _crossed_by
     members_in = _members_in
-
-    def is_member(self, a: Arc, params: ModelParams) -> bool:
-        return a.u == self.p and a.t <= self.s_max
-
-    def member_feet(self) -> Feet:
-        return None, min(self.s_max, self.p - 2)
-
-    def feet_in(self, lo: int, hi: int, n: int) -> range:
-        return range(_first_from(lo, self.p - 1, n), min(self.s_max, self.p - 2, hi) + 1, n)
-
-    def member_heads(self, t: int, n: int) -> Heads:
-        if t <= min(self.s_max, self.p - 2) and (self.p - 1 - t) % n == 0:
-            return ((self.p, self.p),)
-        return ()
 
     def crossed_heads(self, t: int, n: int) -> Heads:
         # Heads beyond p cross the members with feet far left of t; heads short
@@ -129,33 +163,18 @@ class LeftFan:
             return ((x0 + 1, p - 1), (p + 1, None))
         return ((p + 1, None),)
 
-    def left_locus(self) -> IntRegion:
-        return IntRegion.of(points=[self.p])
-
-    def right_locus(self) -> IntRegion:
-        return IntRegion.empty()
-
 
 @dataclass(frozen=True)
-class RightFan:
+class RightFan(_Boxed):
     """All admissible arcs starting at ``p`` with head at least ``u_min``."""
 
     p: int
     u_min: int
 
     kind = "right_fan"
+    box = cached_property(lambda f: (f.p, f.p, f.u_min, None))
     crossed_by = _crossed_by
     members_in = _members_in
-    feet_in = _feet_in
-
-    def is_member(self, a: Arc, params: ModelParams) -> bool:
-        return a.t == self.p and a.u >= self.u_min
-
-    def member_feet(self) -> Feet:
-        return self.p, self.p
-
-    def member_heads(self, t: int, n: int) -> Heads:
-        return ((max(self.u_min, t + 2), None),) if t == self.p else ()
 
     def crossed_heads(self, t: int, n: int) -> Heads:
         # Left of p, heads beyond p cross the members with far heads; right of
@@ -168,33 +187,18 @@ class RightFan:
             return ((y0 + 1, None),)
         return ()
 
-    def left_locus(self) -> IntRegion:
-        return IntRegion.empty()
-
-    def right_locus(self) -> IntRegion:
-        return IntRegion.of(points=[self.p])
-
 
 @dataclass(frozen=True)
-class Band:
+class Band(_Boxed):
     """All admissible arcs reaching from ``(-inf, k_max]`` to ``[l_min, inf)``."""
 
     k_max: int
     l_min: int
 
     kind = "band"
+    box = cached_property(lambda f: (None, f.k_max, f.l_min, None))
     crossed_by = _crossed_by
     members_in = _members_in
-    feet_in = _feet_in
-
-    def is_member(self, a: Arc, params: ModelParams) -> bool:
-        return a.t <= self.k_max and a.u >= self.l_min
-
-    def member_feet(self) -> Feet:
-        return None, self.k_max
-
-    def member_heads(self, t: int, n: int) -> Heads:
-        return ((max(self.l_min, t + 2), None),) if t <= self.k_max else ()
 
     def crossed_heads(self, t: int, n: int) -> Heads:
         # Either a member pierces (t, u) from the left (its head lands in the
@@ -205,73 +209,37 @@ class Band:
             return ((t + 1, None),)
         return ((self.l_min + 1, None),)
 
-    def left_locus(self) -> IntRegion:
-        return IntRegion.of(right_rays=[self.l_min])
-
-    def right_locus(self) -> IntRegion:
-        return IntRegion.of(left_rays=[self.k_max])
-
 
 @dataclass(frozen=True)
-class HalfLeft:
+class HalfLeft(_Boxed):
     """All admissible arcs with both endpoints at most ``p``."""
 
     p: int
 
     kind = "half_left"
+    box = cached_property(lambda f: (None, f.p, None, f.p))
     crossed_by = _crossed_by
     members_in = _members_in
-    feet_in = _feet_in
-
-    def is_member(self, a: Arc, params: ModelParams) -> bool:
-        return a.u <= self.p
-
-    def member_feet(self) -> Feet:
-        return None, self.p - 2
-
-    def member_heads(self, t: int, n: int) -> Heads:
-        return ((t + 2, self.p),) if t + 2 <= self.p else ()
 
     def crossed_heads(self, t: int, n: int) -> Heads:
         # Any arc whose left endpoint lies below p is pierced by a member
         # ending just inside it; everything else sits fully to the right.
         return ((t + 1, None),) if t < self.p else ()
 
-    def left_locus(self) -> IntRegion:
-        return IntRegion.of(left_rays=[self.p])
-
-    def right_locus(self) -> IntRegion:
-        return IntRegion.empty()
-
 
 @dataclass(frozen=True)
-class HalfRight:
+class HalfRight(_Boxed):
     """All admissible arcs with both endpoints at least ``q``."""
 
     q: int
 
     kind = "half_right"
+    box = cached_property(lambda f: (f.q, None, f.q, None))
     crossed_by = _crossed_by
     members_in = _members_in
-    feet_in = _feet_in
-
-    def is_member(self, a: Arc, params: ModelParams) -> bool:
-        return a.t >= self.q
-
-    def member_feet(self) -> Feet:
-        return self.q, None
-
-    def member_heads(self, t: int, n: int) -> Heads:
-        return ((t + 2, None),) if t >= self.q else ()
 
     def crossed_heads(self, t: int, n: int) -> Heads:
         return ((self.q + 1, None),)
-
-    def left_locus(self) -> IntRegion:
-        return IntRegion.empty()
-
-    def right_locus(self) -> IntRegion:
-        return IntRegion.of(right_rays=[self.q])
 
 
 Family = Union[LeftFan, RightFan, Band, HalfLeft, HalfRight]

@@ -34,11 +34,13 @@ HUGE = "9" * 5000
 
 @pytest.fixture(scope="module")
 def bad_inputs(tmp_path_factory) -> dict[str, str]:
-    """Input documents by name: malformed JSON, and a number past the digit limit."""
+    """Input documents by name: malformed JSON, a number past the digit limit,
+    and a set whose explicit arcs are not a list."""
     folder = tmp_path_factory.mktemp("fuzz")
     texts = {
         "bad": "{broken",
         "huge": f'{{"n": 3, "sets": {{"X": {{"explicit": [[1, {HUGE}]]}}}}}}',
+        "scalar": '{"n": 3, "sets": {"X": {"explicit": 5}}}',
     }
     for name, text in texts.items():
         (folder / f"{name}.json").write_text(text)
@@ -104,7 +106,7 @@ def argvs(draw) -> list[str]:
             argv.append(flag)
         elif value is not False:
             argv += [flag, value]
-    source = draw(mostly(st.just("example"), st.sampled_from(["bad", "huge", None])))
+    source = draw(mostly(st.just("example"), st.sampled_from(["bad", "huge", "scalar", None])))
     if source is not None:
         argv += ["--input", source]
     if n is not None:
@@ -125,6 +127,7 @@ _PAIR = ["--input", "example", "--window", "-20..20", "--format", "json"]
 @example(argv=["nc", "--set", "X", "--window", f"1..{HUGE}", "--input", "example"])
 @example(argv=["ext", "--arcs", f"(1,{HUGE}) (2,9)", "--degree", "1", "--n", "3"])
 @example(argv=["nc", "--set", "X", "--window", "-5..5", "--input", "huge"])
+@example(argv=["fountains", "--set", "X", "--input", "scalar"])
 def test_exit_code_contract(argv, bad_inputs):
     argv = [EXAMPLE if a == "example" else bad_inputs.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()

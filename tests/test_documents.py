@@ -64,6 +64,8 @@ def test_validation_errors_carry_locus():
         ({"n": 3, "sets": {"A": [[1, 5]]}}, r"sets\.A: expected an object"),
         ({"n": 3, "sets": {"A": {"arcs": []}}}, r"sets\.A: unknown fields \['arcs'\]"),
         ({"n": 3, "sets": {"A": {"families": [{"p": 1}]}}}, r"sets\.A\.families\[0\].*'kind'"),
+        ({"n": 3, "sets": {"A": {"explicit": 5}}}, r"sets\.A\.explicit: expected a list"),
+        ({"n": 3, "sets": {"A": {"families": None}}}, r"sets\.A\.families: expected a list"),
     ]:
         with pytest.raises(ValidationError, match=locus):
             parse_document(json.dumps(doc))

@@ -7,6 +7,7 @@ from infgon import (
     Band,
     HalfLeft,
     HalfRight,
+    IntRegion,
     LeftFan,
     ModelParams,
     RightFan,
@@ -84,8 +85,25 @@ def test_member_heads_match_is_member_filtering(case):
         assert got == [a.u for a in arcs if a.t == t and fam.is_member(a, p)]
 
 
-def stated_feet(fam):
-    """Each kind's foot interval, as the families module states it."""
+# Frozen references: the per-kind methods as each kind once stated them by
+# hand, before they were derived from its box.
+
+
+def ref_is_member(fam, a: Arc) -> bool:
+    t, u = a
+    if isinstance(fam, LeftFan):
+        return u == fam.p and t <= fam.s_max
+    if isinstance(fam, RightFan):
+        return t == fam.p and u >= fam.u_min
+    if isinstance(fam, Band):
+        return t <= fam.k_max and u >= fam.l_min
+    if isinstance(fam, HalfLeft):
+        return u <= fam.p
+    return t >= fam.q
+
+
+def ref_member_feet(fam):
+    """The closed foot interval outside which a kind has no member heads."""
     if isinstance(fam, RightFan):
         return fam.p, fam.p
     if isinstance(fam, LeftFan):
@@ -97,11 +115,70 @@ def stated_feet(fam):
     return fam.q, None
 
 
+def ref_feet_in(fam, lo: int, hi: int, n: int) -> range:
+    if isinstance(fam, LeftFan):
+        return range(lo + (fam.p - 1 - lo) % n, min(fam.s_max, fam.p - 2, hi) + 1, n)
+    first, last = ref_member_feet(fam)
+    return range(lo if first is None else max(first, lo),
+                 (hi if last is None else min(last, hi)) + 1)
+
+
+def ref_member_heads(fam, t: int, n: int):
+    if isinstance(fam, LeftFan):
+        if t <= min(fam.s_max, fam.p - 2) and (fam.p - 1 - t) % n == 0:
+            return ((fam.p, fam.p),)
+        return ()
+    if isinstance(fam, RightFan):
+        return ((max(fam.u_min, t + 2), None),) if t == fam.p else ()
+    if isinstance(fam, Band):
+        return ((max(fam.l_min, t + 2), None),) if t <= fam.k_max else ()
+    if isinstance(fam, HalfLeft):
+        return ((t + 2, fam.p),) if t + 2 <= fam.p else ()
+    return ((t + 2, None),) if t >= fam.q else ()
+
+
+def ref_loci(fam) -> tuple[IntRegion, IntRegion]:
+    """(left locus, right locus)."""
+    empty = IntRegion.empty()
+    if isinstance(fam, LeftFan):
+        return IntRegion.of(points=[fam.p]), empty
+    if isinstance(fam, RightFan):
+        return empty, IntRegion.of(points=[fam.p])
+    if isinstance(fam, Band):
+        return IntRegion.of(right_rays=[fam.l_min]), IntRegion.of(left_rays=[fam.k_max])
+    if isinstance(fam, HalfLeft):
+        return IntRegion.of(left_rays=[fam.p]), empty
+    return empty, IntRegion.of(right_rays=[fam.q])
+
+
+scalar = st.integers(-15, 15)
+any_kind = st.one_of(
+    st.builds(LeftFan, scalar, scalar),
+    st.builds(RightFan, scalar, scalar),
+    st.builds(Band, scalar, scalar),
+    st.builds(HalfLeft, scalar),
+    st.builds(HalfRight, scalar),
+)
+
+
+@given(st.integers(1, 5), any_kind,
+       st.tuples(st.integers(-40, 40), st.integers(-40, 40)).map(sorted))
+@settings(max_examples=300)
+def test_derived_methods_match_frozen_references(n, fam, ends):
+    lo, hi = ends
+    assert list(fam.feet_in(lo, hi, n)) == list(ref_feet_in(fam, lo, hi, n))
+    for t in range(-40, 41):
+        assert fam.member_heads(t, n) == ref_member_heads(fam, t, n), t
+    for t in range(lo, hi):
+        for u in range(t + 1, hi + 1):
+            assert fam.is_member(Arc(t, u), ModelParams(n)) == ref_is_member(fam, Arc(t, u))
+    assert (fam.left_locus(), fam.right_locus()) == ref_loci(fam)
+
+
 @given(st.integers(1, 4), families)
 @settings(max_examples=300)
 def test_member_heads_empty_outside_foot_interval(n, fam):
-    assert fam.member_feet() == stated_feet(fam)
-    lo, hi = stated_feet(fam)
+    lo, hi = ref_member_feet(fam)
     for t in range(-40, 41):
         if (lo is not None and t < lo) or (hi is not None and t > hi):
             assert fam.member_heads(t, n) == (), (fam, n, t)
