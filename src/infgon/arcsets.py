@@ -218,7 +218,8 @@ def _nc_rows(s: ArcSet, w: Window, feet: Iterable[range]) -> Runs:
     """The closure kernel: the runs of ``nc s`` on the given feet (increasing
     ranges in ``w``), each decided exactly against the full symbolic set."""
     n, hi = s.params.n, w.hi
-    fams = sorted(s.families, key=lambda f: f.kind in ("left_fan", "right_fan"))  # fans last
+    # fans, the boxes with a single foot or a single head, last
+    fams = sorted(s.families, key=lambda f: f.box[0] == f.box[1] or f.box[2] == f.box[3])
     arcs = sorted(s.explicit)
     feet_of = [r for r, _ in arcs]
     inside = [(r + 1, v - 1) for r, v in arcs]  # heads blocked by (r, v) when t < r

@@ -28,12 +28,13 @@ crosses, stays with each kind.  It is the one derivation with residue
 cases: which member crosses first depends on the side of the box the foot
 lies on and on residues mod n, so one rule over the box would be longer
 than the five it replaces.  ``crossed_by`` and ``members_in`` wrap the
-per-foot methods and are bound in each kind's own class; the closure
-sweeps in :mod:`infgon.arcsets` read the per-foot methods directly.
+per-foot methods; ``_Boxed.__init_subclass__`` binds them in each kind's
+own class.  The closure sweeps in :mod:`infgon.arcsets` read the per-foot
+methods directly.
 :func:`_first_from` is the package's one residue rule, shared by the sweeps
-and the family rotation in :mod:`infgon.mutation`, which keys each kind's
-rotation rule by ``kind``.  Every predicate is pinned against brute
-enumeration in the test suite.
+and the family rotation in :mod:`infgon.mutation`, which splits a family by
+its box too.  Every predicate is pinned against brute enumeration in the
+test suite.
 """
 
 from __future__ import annotations
@@ -101,9 +102,20 @@ class _Boxed:
     each kind's ``box``.  A box is a ``cached_property``: not a dataclass
     field, so equality, hashing, ``repr`` and the JSON never see it, and
     built once per instance, so the derived methods on the closure sweeps'
-    hot path cost what the hand-written ones did."""
+    hot path cost what the hand-written ones did.  Each kind declares its box
+    as ``box_fields``, the field bounding each side (``None`` unbounded)."""
 
-    box: Box
+    box_fields: tuple[str | None, str | None, str | None, str | None]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # bound in each kind's own class, where the traced wrappers find them
+        cls.crossed_by = _crossed_by
+        cls.members_in = _members_in
+
+    @cached_property
+    def box(self) -> Box:
+        return tuple(k and getattr(self, k) for k in self.box_fields)
 
     def is_member(self, a: Arc, params: ModelParams) -> bool:
         t0, t1, u0, u1 = self.box
@@ -148,9 +160,7 @@ class LeftFan(_Boxed):
     s_max: int
 
     kind = "left_fan"
-    box = cached_property(lambda f: (None, f.s_max, f.p, f.p))
-    crossed_by = _crossed_by
-    members_in = _members_in
+    box_fields = (None, "s_max", "p", "p")
 
     def crossed_heads(self, t: int, n: int) -> Heads:
         # Heads beyond p cross the members with feet far left of t; heads short
@@ -172,9 +182,7 @@ class RightFan(_Boxed):
     u_min: int
 
     kind = "right_fan"
-    box = cached_property(lambda f: (f.p, f.p, f.u_min, None))
-    crossed_by = _crossed_by
-    members_in = _members_in
+    box_fields = ("p", "p", "u_min", None)
 
     def crossed_heads(self, t: int, n: int) -> Heads:
         # Left of p, heads beyond p cross the members with far heads; right of
@@ -196,9 +204,7 @@ class Band(_Boxed):
     l_min: int
 
     kind = "band"
-    box = cached_property(lambda f: (None, f.k_max, f.l_min, None))
-    crossed_by = _crossed_by
-    members_in = _members_in
+    box_fields = (None, "k_max", "l_min", None)
 
     def crossed_heads(self, t: int, n: int) -> Heads:
         # Either a member pierces (t, u) from the left (its head lands in the
@@ -217,9 +223,7 @@ class HalfLeft(_Boxed):
     p: int
 
     kind = "half_left"
-    box = cached_property(lambda f: (None, f.p, None, f.p))
-    crossed_by = _crossed_by
-    members_in = _members_in
+    box_fields = (None, "p", None, "p")
 
     def crossed_heads(self, t: int, n: int) -> Heads:
         # Any arc whose left endpoint lies below p is pierced by a member
@@ -234,9 +238,7 @@ class HalfRight(_Boxed):
     q: int
 
     kind = "half_right"
-    box = cached_property(lambda f: (f.q, None, f.q, None))
-    crossed_by = _crossed_by
-    members_in = _members_in
+    box_fields = ("q", None, "q", None)
 
     def crossed_heads(self, t: int, n: int) -> Heads:
         return ((self.q + 1, None),)

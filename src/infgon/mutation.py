@@ -27,12 +27,14 @@ family members near the dividers, and the validation of the family rotation
 with the members at divider endpoints: it rotates head runs
 (:func:`~infgon.arcsets.member_runs`), and a run off the divider endpoints
 moves back by one as a whole, so it costs O(W) per divider on a window of
-width W.  Which family members are near is one rule per kind, in
-``_SPLITS``, keyed by the family's ``kind``.  For each arc the kernel checks that the preimage is admissible (``NonAdmissible``), is not a
-divider and crosses no divider (``IncompatibleArc``), and that the image is
-admissible and crosses no divider (``NonAdmissibleImage``).  Rotation
-provably preserves admissibility and divider compatibility, so the image
-checks guard against internal errors, never recoverable conditions.
+width W.  Which family members are near is read off the family's box.
+
+For each arc the kernel checks that the preimage is admissible
+(``NonAdmissible``), is not a divider and crosses no divider
+(``IncompatibleArc``), and that the image is admissible and crosses no
+divider (``NonAdmissibleImage``).  Rotation provably preserves admissibility
+and divider compatibility, so the image checks guard against internal
+errors, never recoverable conditions.
 """
 
 from __future__ import annotations
@@ -58,9 +60,7 @@ from .errors import (
     UnsupportedFamilyGeometry,
     WindowTooSmall,
 )
-from .families import (
-    Band, Family, HalfLeft, HalfRight, LeftFan, RightFan, _first_from, family_scalars
-)
+from .families import Family, LeftFan, RightFan, _first_from, family_scalars
 from .homs import ExtTriangle, ext_triangle
 
 __all__ = [
@@ -218,12 +218,17 @@ def rotate_arc_inverse(a: Arc, d: DividerSet) -> Arc:
 #
 # An endpoint not incident to any divider arc always steps to v - 1, so a
 # family only misbehaves where a ranging endpoint meets divider endpoints.
-# One rule per kind, in _SPLITS, splits a family into right fans (p, u_min),
-# left fans (p, s_max) and at most one leftover family far from the dividers,
-# whose members all step back by one.  Each fan's members near the dividers
-# are rotated as explicit arcs and the rest stay one fan.  The split is exact
-# and is additionally checked against pointwise rotation on a validation
-# window.
+# One rule over the box (t0, t1, u0, u1) splits every family, where [a, b]
+# is the divider hull widened by n + 2 and a missing bound reads as a or b:
+# * heads unbounded: a right fan (p, u0) on each foot p in [t0, t1];
+# * feet unbounded: a left fan (p, t1) on each head p in [u0, u1], with t1
+#   capped at a - 1 when the right fans took the feet from a up;
+# * open on a foot side and a head side: one leftover family, the box with
+#   upper bounds capped at a - 1 and lower bounds raised to b + 1.
+# The leftover, and a family none of whose members meets a divider, step
+# back by one.  Each fan's members near the dividers are rotated as explicit
+# arcs and the rest stay one fan.  The split is exact and is additionally
+# checked against pointwise rotation on a validation window.
 
 
 def _shifted(f: Family) -> Family:
@@ -231,51 +236,37 @@ def _shifted(f: Family) -> Family:
     return type(f)(*(v - 1 for v in family_scalars(f)))
 
 
-def _split_band(f: Band, lo: int, hi: int):
-    k_rest = min(f.k_max, lo - 1)
-    return (
-        [(k, f.l_min) for k in range(lo, f.k_max + 1)],
-        [(l, k_rest) for l in range(f.l_min, hi + 1)],
-        [Band(k_rest, max(f.l_min, hi + 1))],
-    )
-
-
-# kind -> rule(f, lo, hi) -> (right-fan anchors, left-fan anchors, leftovers),
-# where [lo, hi] is the divider hull widened by n + 2 on each side
-_SPLITS = {
-    "right_fan": lambda f, lo, hi: ([(f.p, f.u_min)], [], []),
-    "left_fan": lambda f, lo, hi: ([], [(f.p, f.s_max)], []),
-    "band": _split_band,
-    "half_left": lambda f, lo, hi: (
-        [], [(h, h - 2) for h in range(lo, f.p + 1)], [HalfLeft(lo - 1)]),
-    "half_right": lambda f, lo, hi: (
-        [(q, q + 2) for q in range(f.q, hi + 1)], [], [HalfRight(hi + 1)]),
-}
-
-
 def _rotate_family(f: Family, d: DividerSet) -> tuple[list[tuple[int, int]], list[Family]]:
     """The members of ``f`` to rotate one by one, and the families holding
     the images of all the others."""
     pts = d.endpoints()
-    if (not pts or f.kind == "half_left" and f.p < pts[0]
-            or f.kind == "half_right" and f.q > pts[-1]):  # no member meets a divider
+    t0, t1, u0, u1 = f.box
+    if (not pts or u0 is None and u1 < pts[0]
+            or t1 is None and t0 > pts[-1]):  # no member meets a divider
         return [], [_shifted(f)]
     n, lo, hi = d.params.n, pts[0], pts[-1]
-    rights, lefts, rest = _SPLITS[f.kind](f, lo - n - 2, hi + n + 2)
+    a, b = lo - n - 2, hi + n + 2
     members: list[tuple[int, int]] = []
-    fams = [_shifted(g) for g in rest]
-    for p, u_min in rights:
-        first = _first_from(max(u_min, p + 2), p + 1, n)  # first member head
-        top = max(hi, first - 1) + n + 2
-        members += [(p, u) for u in range(first, top + 1, n)]
-        # beyond top, every member's anchor steps as the anchor of (p, top) does
-        fams.append(RightFan(_pred(p, top, d), top))
-    for p, s_max in lefts:
-        last = _first_from(min(s_max, p - 2) - n + 1, p - 1, n)  # last member foot
-        bottom = min(lo, last + 1) - n - 2
-        members += [(s, p) for s in range(_first_from(bottom, p - 1, n), last + 1, n)]
-        # below bottom, every member's anchor steps as the anchor of (bottom, p) does
-        fams.append(LeftFan(_pred(p, bottom, d), bottom - 2))
+    fams: list[Family] = []
+    if None in (t0, t1) and None in (u0, u1):  # the leftover; t1 and u1 are upper bounds
+        rest = [v if v is None else min(v, a - 1) if i % 2 else max(v, b + 1)
+                for i, v in enumerate(f.box)]
+        fams.append(_shifted(type(f)(**{k: v for k, v in zip(f.box_fields, rest) if k})))
+    if u1 is None:
+        for p in range(a if t0 is None else t0, (b if t1 is None else t1) + 1):
+            first = _first_from(max(u0, p + 2), p + 1, n)  # first member head
+            top = max(hi, first - 1) + n + 2
+            members += [(p, u) for u in range(first, top + 1, n)]
+            # beyond top, every member's anchor steps as the anchor of (p, top) does
+            fams.append(RightFan(_pred(p, top, d), top))
+    if t0 is None:
+        s_max = t1 if u1 is not None else min(t1, a - 1)
+        for p in range(a if u0 is None else u0, (b if u1 is None else u1) + 1):
+            last = _first_from(min(s_max, p - 2) - n + 1, p - 1, n)  # last member foot
+            bottom = min(lo, last + 1) - n - 2
+            members += [(s, p) for s in range(_first_from(bottom, p - 1, n), last + 1, n)]
+            # below bottom, every member's anchor steps as the anchor of (bottom, p) does
+            fams.append(LeftFan(_pred(p, bottom, d), bottom - 2))
     return members, fams
 
 

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +46,8 @@ from infgon.errors import (
 )
 from infgon import mutation
 from infgon.arcsets import features, member_runs, runs_of
-from infgon.mutation import _pred, _rotate_all, _rotate_runs, _succ
+from infgon.families import _first_from
+from infgon.mutation import _pred, _rotate_all, _rotate_family, _rotate_runs, _shifted, _succ
 from infgon.oracles import (
     random_divider_case,
     random_family_rotation_case,
@@ -426,3 +428,69 @@ def test_run_rotation_matches_the_kernel_arc_by_arc(n, seed, hug, rotated):
     for t, u in set(images) | d.arcs:
         heads.setdefault(t, []).append((u, u))
     assert _rotate_runs(member_runs(x, outer), d, inner) == runs_of(heads, inner, n)
+
+
+# Frozen reference: the family split as each kind once stated it by hand, in
+# a table keyed by ``kind``, before it was read off the family's box.
+
+
+def ref_split_band(f: Band, lo: int, hi: int):
+    k_rest = min(f.k_max, lo - 1)
+    return (
+        [(k, f.l_min) for k in range(lo, f.k_max + 1)],
+        [(l, k_rest) for l in range(f.l_min, hi + 1)],
+        [Band(k_rest, max(f.l_min, hi + 1))],
+    )
+
+
+REF_SPLITS = {
+    "right_fan": lambda f, lo, hi: ([(f.p, f.u_min)], [], []),
+    "left_fan": lambda f, lo, hi: ([], [(f.p, f.s_max)], []),
+    "band": ref_split_band,
+    "half_left": lambda f, lo, hi: (
+        [], [(h, h - 2) for h in range(lo, f.p + 1)], [HalfLeft(lo - 1)]),
+    "half_right": lambda f, lo, hi: (
+        [(q, q + 2) for q in range(f.q, hi + 1)], [], [HalfRight(hi + 1)]),
+}
+
+
+def ref_rotate_family(f, d: DividerSet):
+    pts = d.endpoints()
+    if (not pts or f.kind == "half_left" and f.p < pts[0]
+            or f.kind == "half_right" and f.q > pts[-1]):
+        return [], [_shifted(f)]
+    n, lo, hi = d.params.n, pts[0], pts[-1]
+    rights, lefts, rest = REF_SPLITS[f.kind](f, lo - n - 2, hi + n + 2)
+    members = []
+    fams = [_shifted(g) for g in rest]
+    for p, u_min in rights:
+        first = _first_from(max(u_min, p + 2), p + 1, n)
+        top = max(hi, first - 1) + n + 2
+        members += [(p, u) for u in range(first, top + 1, n)]
+        fams.append(RightFan(_pred(p, top, d), top))
+    for p, s_max in lefts:
+        last = _first_from(min(s_max, p - 2) - n + 1, p - 1, n)
+        bottom = min(lo, last + 1) - n - 2
+        members += [(s, p) for s in range(_first_from(bottom, p - 1, n), last + 1, n)]
+        fams.append(LeftFan(_pred(p, bottom, d), bottom - 2))
+    return members, fams
+
+
+@given(seed=st.integers(0, 2**32 - 1), empty=st.integers(0, 19).map(lambda i: i == 0),
+       data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_family_split_matches_the_frozen_per_kind_rules(seed, empty, data):
+    """Every kind, with scalars near the divider hull so that the half-kinds
+    are split too, against the per-kind split it replaced."""
+    p, d, _ = random_divider_case(random.Random(seed))
+    if empty:
+        d = DividerSet.of(p, [])
+    pts = d.endpoints() or [0]
+    near = st.integers(pts[0] - 20, pts[-1] + 20)
+    f = data.draw(st.one_of(st.builds(LeftFan, near, near), st.builds(RightFan, near, near),
+                            st.builds(Band, near, near), st.builds(HalfLeft, near),
+                            st.builds(HalfRight, near)))
+    members, fams = _rotate_family(f, d)
+    ref_members, ref_fams = ref_rotate_family(f, d)
+    assert set(members) == set(ref_members)
+    assert Counter(fams) == Counter(ref_fams)
