@@ -11,8 +11,12 @@ and the line count of its ``src/``.
 
 With ``--baseline DIR`` each workload runs ``--pairs`` times on both
 checkouts, alternating which runs first, pair ``i`` on seed ``--seed + i``.
-The file then holds both sides and, per metric, in how many pairs this
-checkout did better (by the direction ``BENCHMARK.json`` gives).
+The file then holds both sides and, per workload and metric, in how many
+pairs this checkout did better (by the direction ``BENCHMARK.json`` gives)
+and a ``status``: ``worse`` when the change's median is worse than the
+parent's by more than the metric's bound, ``unresolved`` when the parent's
+interquartile spread exceeds the bound (relative to its median) and not
+every change run beats every parent run, else ``ok``.
 
 Before the first run, each checkout's ``src/`` is compiled with
 ``compileall`` (``PYTHONDONTWRITEBYTECODE`` unset for that step), so that no
@@ -86,16 +90,40 @@ def side(checkout: Path, runs: dict[str, list[dict]]) -> dict:
     }
 
 
+def end_to_end() -> list[dict]:
+    """The end-to-end metrics ``BENCHMARK.json`` declares: name, direction, bound."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
 def wins(change: list[dict], parent: list[dict]) -> dict:
     """Per metric, the pairs in which the change did better than the parent."""
-    better = {m["name"]: m["better"] for m in
-              json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     out = {}
-    for name, direction in better.items():
+    for m in end_to_end():
+        name, sign = m["name"], 1 if m["better"] == "higher" else -1
         pairs = [(c["metrics"][name], p["metrics"][name]) for c, p in zip(change, parent)
                  if "metrics" in c and "metrics" in p]
-        sign = 1 if direction == "higher" else -1
         out[name] = sum(1 for c, p in pairs if sign * (c - p) > 0)
+    return out
+
+
+def status(change: list[dict], parent: list[dict]) -> dict:
+    """Per metric, ``worse``, ``unresolved`` or ``ok`` (see the module docstring)."""
+    mine, theirs = summary(change), summary(parent)
+    out = {}
+    for m in end_to_end():
+        name, sign, bound = m["name"], 1 if m["better"] == "higher" else -1, m["bound"]
+        if name not in mine or name not in theirs:
+            out[name] = "unresolved"
+            continue
+        c, p = mine[name]["median"], theirs[name]
+        ours = [sign * r["metrics"][name] for r in change if "metrics" in r]
+        base = [sign * r["metrics"][name] for r in parent if "metrics" in r]
+        if sign * (c - p["median"]) < -bound * abs(p["median"]):
+            out[name] = "worse"
+        elif p["q3"] - p["q1"] > bound * abs(p["median"]) and min(ours) <= max(base):
+            out[name] = "unresolved"
+        else:
+            out[name] = "ok"
     return out
 
 
@@ -133,6 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     if base is not None:
         report["parent"] = side(base, theirs)
         report["change_wins"] = {w: wins(mine[w], theirs[w]) for w in mine}
+        report["status"] = {w: status(mine[w], theirs[w]) for w in mine}
     out = a.out or ROOT / f"BENCH_{a.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     every = [r for runs in (mine, theirs) for rs in runs.values() for r in rs]

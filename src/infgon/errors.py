@@ -57,10 +57,6 @@ class PairCheckFailed(InfgonError):
     """Mutation requested on a pair whose verification report is negative."""
 
 
-class UnsupportedFamilyGeometry(InfgonError):
-    """A symbolic family could not be rotated by the closed-form rules."""
-
-
 class TriangleMismatch(InfgonError):
     """The extension-triangle route disagreed with the rotation route."""
 

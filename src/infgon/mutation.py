@@ -23,11 +23,8 @@ one bisection each, and an endpoint outside the index takes rule 3 at once.
 Every rotation goes through one kernel, :func:`_rotate_all`, which works on
 ``(t, u)`` integer pairs: :func:`rotate_arc` and :func:`rotate_arc_inverse`
 call it with one arc, :func:`rotate_set` once with the explicit arcs and the
-family members near the dividers, and the validation of the family rotation
-with the members at divider endpoints: it rotates head runs
-(:func:`~infgon.arcsets.member_runs`), and a run off the divider endpoints
-moves back by one as a whole, so it costs O(W) per divider on a window of
-width W.  Which family members are near is read off the family's box.
+family members near the dividers.  Which family members are near is read
+off the family's box.
 
 For each arc the kernel checks that the preimage is admissible
 (``NonAdmissible``), is not a divider and crosses no divider
@@ -44,8 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .arcs import Arc, ModelParams, cross, is_admissible, require_admissible
-from .arcsets import (ArcSet, Runs, Window, _make, contains, crosses_set, features, member_runs,
-                      runs_of, runs_symmetric_difference)
+from .arcsets import ArcSet, Window, _make, contains, crosses_set
 from .cotorsion import PairReport, check_pair
 from .errors import (
     DegeneratePair,
@@ -57,7 +53,6 @@ from .errors import (
     NonAdmissibleImage,
     PairCheckFailed,
     TriangleMismatch,
-    UnsupportedFamilyGeometry,
     WindowTooSmall,
 )
 from .families import Family, LeftFan, RightFan, _first_from, family_scalars
@@ -227,8 +222,8 @@ def rotate_arc_inverse(a: Arc, d: DividerSet) -> Arc:
 #   upper bounds capped at a - 1 and lower bounds raised to b + 1.
 # The leftover, and a family none of whose members meets a divider, step
 # back by one.  Each fan's members near the dividers are rotated as explicit
-# arcs and the rest stay one fan.  The split is exact and is additionally
-# checked against pointwise rotation on a validation window.
+# arcs and the rest stay one fan.  The split is exact; the tests hold it
+# against pointwise rotation (``oracles.rotation_mismatches``).
 
 
 def _shifted(f: Family) -> Family:
@@ -270,61 +265,6 @@ def _rotate_family(f: Family, d: DividerSet) -> tuple[list[tuple[int, int]], lis
     return members, fams
 
 
-def _crosses_run(t: int, a: int, b: int, n: int, d: DividerSet) -> bool:
-    """Does an arc ``(t, u)``, ``u`` in the run ``[a, b)``, cross a divider
-    ``(q, r)``: ``u > r`` with ``q < t < r``, or ``q < u < r`` with ``t < q``?"""
-    return any(q < t < r and _first_from(max(a, r + 1), t + 1, n) < b
-               or t < q and _first_from(max(a, q + 1), t + 1, n) < min(b, r)
-               for q, r in d.arcs)
-
-
-def _rotate_runs(runs: Runs, d: DividerSet, w: Window) -> Runs:
-    """The backward rotation of the non-divider arcs in ``runs``, plus the
-    dividers, as runs on ``w``.  A run off the divider endpoints moves to foot
-    ``t - 1`` with every head - 1 (rule 3 at both ends), checked like the
-    kernel's images; heads at a divider endpoint, runs on a divider-endpoint
-    foot and runs crossing a divider go through the kernel arc by arc."""
-    n, pts = d.params.n, d.endpoints()
-    ends, r1 = set(pts), 1 % n
-    heads: dict[int, list[tuple[int, int]]] = {}
-    single: list[tuple[int, int]] = []
-    for t, foot_runs in runs.items():
-        for a, b in foot_runs:
-            if t in ends or _crosses_run(t, a, b, n, d):
-                single += [(t, u) for u in range(a, b, n)]
-                continue
-            cuts = [e for e in pts[bisect_left(pts, a) : bisect_left(pts, b)]
-                    if (e - t - 1) % n == 0]  # heads at a divider endpoint
-            single += [(t, e) for e in cuts]
-            for e in cuts + [b]:
-                if a < e:  # the sub-run [a, e) moves to [a - 1, e - 1) on foot t - 1
-                    if a - t < 2 or (a - t) % n != r1 or _crosses_run(t - 1, a - 1, e - 1, n, d):
-                        raise NonAdmissibleImage(f"rotation rule bug: run ({t}, [{a}, {e})) "
-                                                 f"-> ({t - 1}, [{a - 1}, {e - 1}))")
-                    heads.setdefault(t - 1, []).append((a - 1, e - 1 - n))
-                a = e + n
-    for et, eu in [*_rotate_all((m for m in single if m not in d.arcs), d, _pred), *d.arcs]:
-        heads.setdefault(et, []).append((eu, eu))
-    return runs_of(heads, w, n)
-
-
-def _validate_rotation(x: ArcSet, d: DividerSet, result: ArcSet) -> None:
-    """Compare the symbolic result with pointwise rotation on a window
-    around the dividers, the features of ``x`` and the result's family
-    scalars (``x`` has a family, so there is at least one)."""
-    feats = d.endpoints() + features(x) + [v for f in result.families for v in family_scalars(f)]
-    pad = d.span() + 2 * (d.params.n + 2) + 4
-    outer = Window(min(feats) - pad, max(feats) + pad)
-    inner = outer.shrink(d.span() + 2)
-    expected = _rotate_runs(member_runs(x, outer), d, inner)
-    actual = member_runs(result, inner)
-    if expected != actual:
-        diff = runs_symmetric_difference(expected, actual, d.params.n)
-        raise UnsupportedFamilyGeometry(
-            f"family rotation mismatch on window [{inner.lo}, {inner.hi}]: {diff[:8]}"
-        )
-
-
 def rotate_set(x: ArcSet, d: DividerSet) -> ArcSet:
     """Rotate every member of ``x`` except the dividers; keep the dividers.
 
@@ -345,14 +285,11 @@ def rotate_set(x: ArcSet, d: DividerSet) -> ArcSet:
         members += ms
         fams += fs
     images = _rotate_all((m for m in members if m not in d.arcs), d, _pred)
-    result = ArcSet(
+    return ArcSet(
         x.params,
         frozenset(images) | d.arcs,
         tuple(sorted(set(fams), key=lambda f: (f.kind, family_scalars(f)))),
     )
-    if x.families:
-        _validate_rotation(x, d, result)
-    return result
 
 
 def mutate_pair(

@@ -3,8 +3,9 @@
 Everything here recomputes claims by exhaustion or replays them through an
 independent route: crossing versus extension vanishing, the Calabi-Yau
 dimension dualities, rotation steps versus the explicit cell walk, the
-rotation-versus-triangle agreement, and the window listings of
-:mod:`infgon.arcsets` versus candidate-by-candidate filtering.  The library
+rotation-versus-triangle agreement, set rotation versus rotating each
+member, and the window listings of :mod:`infgon.arcsets` versus
+candidate-by-candidate filtering.  The library
 is only trusted as far as these sweeps stay empty.
 
 The sweeps state their claims through the public ``ext_dim`` / ``hom_dim``,
@@ -41,6 +42,7 @@ __all__ = [
     "nc_window_brute",
     "random_divider_case",
     "random_finite_arcs",
+    "rotation_mismatches",
     "run_mutation_fuzz",
     "serre_duality_mismatches",
 ]
@@ -123,6 +125,32 @@ def nc_window_brute(s: ArcSet, w: Window) -> list[Arc]:
         if w.lo < m.t < w.hi or w.lo < m.u < w.hi
     ]
     return [a for a in admissible_arcs_in(w, p) if not any(cross(a, m) for m in members)]
+
+
+def rotation_mismatches(x: ArcSet, d: DividerSet, got: ArcSet) -> list[Arc]:
+    """Frozen reference for ``rotate_set``: the arcs where ``got`` differs
+    from :func:`~infgon.mutation.rotate_arc` applied to every non-divider
+    member of ``x``, the dividers kept.
+
+    The window argument is perfbench's ``rotation_mismatch``: an endpoint
+    moves by one, or by at most span(D) along a divider, so every member of
+    ``got`` on the inner window has its preimage on the outer one and the
+    comparison there is exact.  The inner window reaches 2(n + 2) + 2 past
+    the dividers, the explicit endpoints and the family scalars of both
+    sets, so each family shows every residue class on it.
+    """
+    pts = d.endpoints()
+    for s in (x, got):
+        pts += [e for a in s.explicit for e in a]
+        pts += [v for f in s.families for v in family_scalars(f)]
+    if not pts:
+        return []
+    span, pad = d.span(), d.span() + 2 * (d.params.n + 2) + 4
+    outer = Window(min(pts) - pad, max(pts) + pad)
+    inner = Window(outer.lo + span + 2, outer.hi - span - 2)
+    want = {rotate_arc(m, d) for m in members_in_window_brute(x, outer) if m not in d.arcs}
+    want = {a for a in want | d.arcs if inner.lo <= a.t and a.u <= inner.hi}
+    return sorted(want ^ set(members_in_window_brute(got, inner)))
 
 
 def _random_admissible(rng: random.Random, n: int, lo: int, hi: int) -> Arc | None:

@@ -44,15 +44,16 @@ from infgon.errors import (
     PairCheckFailed,
     WindowTooSmall,
 )
-from infgon import mutation
-from infgon.arcsets import features, member_runs, runs_of
 from infgon.families import _first_from
-from infgon.mutation import _pred, _rotate_all, _rotate_family, _rotate_runs, _shifted, _succ
+from infgon.mutation import _pred, _rotate_all, _rotate_family, _shifted, _succ
 from infgon.oracles import (
     random_divider_case,
     random_family_rotation_case,
+    rotation_mismatches,
     run_mutation_fuzz,
 )
+
+from conftest import demo, orbit
 
 P1, P3 = ModelParams(1), ModelParams(3)
 D1 = DividerSet.of(P3, [Arc(-4, 6)])
@@ -244,13 +245,8 @@ def test_rotate_set_families_match_pointwise():
         [Arc(-3, 1), Arc(-2, 2), Arc(-1, 3)],
         [RightFan(-4, 0), Band(-5, 6), HalfLeft(-4), HalfRight(6)],
     )
-    out = rotate_set(y, D1)  # internal window assertion also runs
-    for w in (Window(-30, 30), Window(-45, 45)):
-        src = Window(w.lo - 11, w.hi + 11)
-        expected = {rotate_arc(m, D1) for m in members_in_window(y, src) if m not in D1.arcs}
-        expected |= D1.arcs
-        got = set(members_in_window(out, w))
-        assert got == {a for a in expected if w.lo <= a.t and a.u <= w.hi}
+    out = rotate_set(y, D1)
+    assert rotation_mismatches(y, D1, out) == []
     assert contains(out, Arc(-5, 8)) and contains(out, Arc(-8, -4))
 
 
@@ -365,19 +361,12 @@ def test_mutation_via_triangle_middles_stay_in_divider():
         assert res.via_triangle.right == res.image
 
 
-def test_rotation_with_a_far_family_scalar_is_cheap(monkeypatch):
-    """The rotation check still spans every family scalar, here a fan a
-    million feet away, but only the feet that carry members cost anything."""
+def test_rotation_with_a_far_family_scalar_is_cheap():
+    """A fan a million feet away from the divider costs no more to rotate
+    than a near one: only the feet that carry members cost anything."""
     p, far = ModelParams(3), -1_000_000
     x = ArcSet.of(p, [Arc(-4, 6)], [RightFan(far, 6)])
     d = DividerSet.of(p, [Arc(-4, 6)])
-    windows = []
-
-    def spy(s, w):
-        windows.append(w)
-        return member_runs(s, w)
-
-    monkeypatch.setattr(mutation, "member_runs", spy)
     tracemalloc.start()
     try:
         got = rotate_set(x, d)
@@ -386,7 +375,6 @@ def test_rotation_with_a_far_family_scalar_is_cheap(monkeypatch):
         tracemalloc.stop()
     assert got.explicit == {Arc(far - 1, -4), Arc(far - 1, 8), Arc(-4, 6)}
     assert got.families == (RightFan(far - 1, 11),)
-    assert min(w.lo for w in windows) < far  # the check's window still reaches the fan
     assert peak < 8 * 2**20
 
 
@@ -403,11 +391,11 @@ def hugging_divider(rng: random.Random, x: ArcSet, d: DividerSet) -> Arc | None:
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @given(seed=st.integers(0, 2**32 - 1), hug=st.booleans(), rotated=st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_run_rotation_matches_the_kernel_arc_by_arc(n, seed, hug, rotated):
-    """The rotation self-check moves whole head runs; it must equal the
-    kernel applied to every member on the check's window.  ``hug`` adds a
-    divider sharing an endpoint with another, so heads and feet at divider
-    endpoints meet runs that also hold ordinary heads."""
+def test_rotate_set_matches_pointwise_rotation(n, seed, hug, rotated):
+    """``rotate_set`` must equal ``rotate_arc`` on every member.  ``hug``
+    adds a divider sharing an endpoint with another, so members at divider
+    endpoints meet ordinary ones; ``rotated`` starts from a rotated set,
+    whose families are the fans and leftovers of a split."""
     rng = random.Random(seed)
     while True:
         p, x, d = random_family_rotation_case(rng)
@@ -419,15 +407,16 @@ def test_run_rotation_matches_the_kernel_arc_by_arc(n, seed, hug, rotated):
         d = DividerSet.of(p, d.arcs | {b})
     if rotated:
         x = rotate_set(x, d)
-    pts = d.endpoints() + features(x)
-    pad = d.span() + 2 * (n + 2) + 4
-    outer = Window(min(pts) - pad, max(pts) + pad)
-    inner = outer.shrink(d.span() + 2)
-    images = _rotate_all((m for m in members_in_window(x, outer) if m not in d.arcs), d, _pred)
-    heads: dict = {}
-    for t, u in set(images) | d.arcs:
-        heads.setdefault(t, []).append((u, u))
-    assert _rotate_runs(member_runs(x, outer), d, inner) == runs_of(heads, inner, n)
+    assert rotation_mismatches(x, d, rotate_set(x, d)) == []
+
+
+def test_rotate_set_matches_pointwise_rotation_along_the_demo_orbit():
+    """Both sets of every orbit step, rotated by the demo's D."""
+    doc = demo()
+    d = DividerSet(doc.params, doc.sets["D"].explicit)
+    for x, y in orbit():
+        for s in (x, y):
+            assert rotation_mismatches(s, d, rotate_set(s, d)) == []
 
 
 # Frozen reference: the family split as each kind once stated it by hand, in
