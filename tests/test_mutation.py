@@ -362,8 +362,8 @@ def test_mutation_via_triangle_middles_stay_in_divider():
 
 
 def test_rotation_with_a_far_family_scalar_is_cheap():
-    """A fan a million feet away from the divider costs no more to rotate
-    than a near one: only the feet that carry members cost anything."""
+    """Rotating a fan a million feet away from the divider stays cheap: only
+    the feet that carry members cost anything."""
     p, far = ModelParams(3), -1_000_000
     x = ArcSet.of(p, [Arc(-4, 6)], [RightFan(far, 6)])
     d = DividerSet.of(p, [Arc(-4, 6)])
