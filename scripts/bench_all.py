@@ -18,11 +18,14 @@ parent's by more than the metric's bound, ``unresolved`` when the parent's
 interquartile spread exceeds the bound (relative to its median) and not
 every change run beats every parent run, else ``ok``.
 
-Before the first run, each checkout's ``src/`` is compiled with
-``compileall`` (``PYTHONDONTWRITEBYTECODE`` unset for that step), so that no
-side pays for recompiling modules at import.  On a 2-vCPU guest (Python
-3.11.7), importing ``infgon.cli`` took 69-89 ms without cached bytecode and
-35-55 ms with it, a gap that skews ``setup_s`` and ``cli`` between checkouts.
+Both sides run as a fresh checkout does: before the first run the bytecode
+cached under each checkout's ``src/`` is removed, and every run sets
+``PYTHONDONTWRITEBYTECODE=1``, so each interpreter compiles the library
+modules it imports, and only those, as a new checkout's does.  A leftover
+cache would skew ``setup_s`` and ``cli`` between checkouts: on a 2-vCPU guest
+(Python 3.11.7), importing every module of ``infgon`` took 69-89 ms without
+cached bytecode and 35-55 ms with it.  ``PYTHONPYCACHEPREFIX`` is not used,
+because it would make the standard library recompile too.
 
 Exit code 1 when any run is not ``correct`` or fails to produce a result.
 """
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -45,7 +49,8 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run: its ``correct`` flag and metric values."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         return {"seed": seed, "correct": False, "error": proc.stderr.strip()[-500:]}
@@ -54,12 +59,10 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"seed": seed, "correct": result["correct"], "metrics": metrics}
 
 
-def compile_src(checkout: Path) -> None:
-    """Write the bytecode of the checkout's ``src/``, whatever the environment
-    says about writing bytecode."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=checkout, env=env,
-                   check=True)
+def clear_bytecode(checkout: Path) -> None:
+    """Remove every ``__pycache__`` directory under the checkout's ``src/``."""
+    for cache in [p for p in (checkout / "src").rglob("__pycache__") if p.is_dir()]:
+        shutil.rmtree(cache)
 
 
 def describe(checkout: Path) -> dict:
@@ -138,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     a = ap.parse_args(argv)
     here, base = ROOT, a.baseline.resolve() if a.baseline else None
     for checkout in (here, base) if base else (here,):
-        compile_src(checkout)
+        clear_bytecode(checkout)
     mine: dict[str, list[dict]] = {}
     theirs: dict[str, list[dict]] = {}
     for w in WORKLOADS:

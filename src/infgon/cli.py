@@ -11,6 +11,14 @@ the options, builds the report's ``inputs`` from them plus ``n``, and emits
 text or JSON.  A handler ``run(args, ctx)`` only computes a :class:`Report`;
 ``ctx`` holds the document ``doc``, the modulus ``p``, the window ``w``, the
 ``arcs`` and, under each set-name option's name, its arc set.
+
+At import this module loads only what parsing and error reporting need
+(``arcs``, ``errors``); each handler imports its own layer when it runs, so
+``ext`` never loads the closures and ``check-pair`` never loads ``mutation``
+or the oracles.  ``render`` is the exception and loads with this module: the
+benchmark's layer trace (``perfbench/layertrace.py``) imports ``infgon.cli``
+and then looks ``infgon.render`` up among the loaded modules.  ``render``
+defers its own ``arcsets`` import, so loading it stays cheap.
 """
 
 from __future__ import annotations
@@ -23,30 +31,15 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .arcs import Arc, ModelParams, cross, normalize
-from .arcsets import (
-    Window,
-    finiteness_check,
-    fountain_loci,
-    frame,
-    is_ptolemy_window,
-    members_in_window,
-    nc_window,
-)
-from .cotorsion import PairReport, check_pair, core
-from .documents import arcset_to_json, parse_document
 from .errors import InfgonError, PairCheckFailed
-from .homs import ext_dim, hom_dim
-from .mutation import DividerSet, mutate_pair
-from .oracles import (
-    cross_ext_mismatches,
-    hom_serre_mismatches,
-    run_mutation_fuzz,
-    serre_duality_mismatches,
-)
 from .render import render_svg, render_text
+
+if TYPE_CHECKING:
+    from .arcsets import Window
+    from .cotorsion import PairReport
 
 _ARC_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 
@@ -64,6 +57,8 @@ def _int(digits: str) -> int:
 
 
 def _parse_window(text: str, max_width: int = MAX_WINDOW_WIDTH) -> Window:
+    from .arcsets import Window
+
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
     lo, hi = map(_int, m.groups()) if m else (0, 0)
     if lo >= hi:
@@ -124,7 +119,33 @@ def _arc_list(arcs: list[Arc]) -> Report:
     return Report([str(a) for a in arcs], result=[[a.t, a.u] for a in arcs])
 
 
+def _ext(a, c) -> Report:
+    from .homs import ext_dim
+
+    return _dim(ext_dim(*c.arcs, a.degree, c.p), c.arcs)
+
+
+def _hom(a, c) -> Report:
+    from .homs import hom_dim
+
+    return _dim(hom_dim(*c.arcs, c.p), c.arcs)
+
+
+def _nc(a, c) -> Report:
+    from .arcsets import nc_window
+
+    return _arc_list(nc_window(c.set, c.w))
+
+
+def _frame(a, c) -> Report:
+    from .arcsets import frame
+
+    return _arc_list(frame(c.set, c.w))
+
+
 def _fountains(a, c) -> Report:
+    from .arcsets import finiteness_check, fountain_loci
+
     left, right = (_region_json(reg) for reg in fountain_loci(c.set))
     fin = finiteness_check(c.set)
     return Report(
@@ -141,6 +162,8 @@ def _fountains(a, c) -> Report:
 
 
 def _ptolemy(a, c) -> Report:
+    from .arcsets import is_ptolemy_window
+
     rep = is_ptolemy_window(c.set, c.w)
     lines = [(rep.ok, f"set {a.set} is a Ptolemy diagram on [{c.w.lo}, {c.w.hi}]")]
     if rep.ok:
@@ -173,7 +196,23 @@ def _pair_report(rep: PairReport, lines: list, label: str, **fields) -> Report:
     return Report(lines, rep.verdict, witnesses, details=details, **fields)
 
 
+def _check_pair(a, c) -> Report:
+    from .cotorsion import check_pair
+
+    return _pair_report(check_pair(c.x, c.y, c.w), [], f"({a.x}, {a.y}) window-certified pair")
+
+
+def _core(a, c) -> Report:
+    from .cotorsion import core
+
+    return _arc_list(core(c.x, c.y, c.w))
+
+
 def _mutate(a, c) -> Report:
+    from .arcsets import members_in_window
+    from .documents import arcset_to_json
+    from .mutation import DividerSet, mutate_pair
+
     if c.d.families:
         raise InfgonError(f"divider set {a.d!r} must be finite (no families)")
     d = DividerSet(c.p, c.d.explicit)
@@ -197,6 +236,13 @@ def _mutate(a, c) -> Report:
 
 
 def _oracle(a, c) -> Report:
+    from .oracles import (
+        cross_ext_mismatches,
+        hom_serre_mismatches,
+        run_mutation_fuzz,
+        serre_duality_mismatches,
+    )
+
     if a.fuzz_cases < 0:
         raise InfgonError(f"--fuzz-cases must be a non-negative integer, got {a.fuzz_cases}")
     lo, hi = c.w.lo, c.w.hi
@@ -257,24 +303,18 @@ class Command(NamedTuple):
 
 COMMANDS: dict[str, Command] = {
     "ext": Command("dim Ext^i between two arcs", "n",
-                   (_ARCS, _opt("--degree", type=int, required=True)),
-                   lambda a, c: _dim(ext_dim(*c.arcs, a.degree, c.p), c.arcs)),
-    "hom": Command("dim Hom between two arcs", "n", (_ARCS,),
-                   lambda a, c: _dim(hom_dim(*c.arcs, c.p), c.arcs)),
+                   (_ARCS, _opt("--degree", type=int, required=True)), _ext),
+    "hom": Command("dim Hom between two arcs", "n", (_ARCS,), _hom),
     "cross": Command("crossing predicate", None, (_ARCS,), _cross),
-    "nc": Command("non-crossing closure on a window", "doc", (_SET, _WINDOW),
-                  lambda a, c: _arc_list(nc_window(c.set, c.w))),
+    "nc": Command("non-crossing closure on a window", "doc", (_SET, _WINDOW), _nc),
     "fountains": Command("fountain loci and finiteness", "doc", (_SET,), _fountains),
-    "frame": Command("members crossing nothing in their set", "doc", (_SET, _WINDOW),
-                     lambda a, c: _arc_list(frame(c.set, c.w))),
+    "frame": Command("members crossing nothing in their set", "doc", (_SET, _WINDOW), _frame),
     "ptolemy": Command("Ptolemy condition on a window", "doc", (_SET, _WINDOW),
                        # the pair loop is quartic in the width: 64 takes about 8 s at n = 1
                        _ptolemy, max_width=64),
     "check-pair": Command("four-condition pair verification", "doc", (_X, _Y, _WINDOW),
-                          lambda a, c: _pair_report(check_pair(c.x, c.y, c.w), [],
-                                                    f"({a.x}, {a.y}) window-certified pair")),
-    "core": Command("intersection of a pair on a window", "doc", (_X, _Y, _WINDOW),
-                    lambda a, c: _arc_list(core(c.x, c.y, c.w))),
+                          _check_pair),
+    "core": Command("intersection of a pair on a window", "doc", (_X, _Y, _WINDOW), _core),
     "mutate": Command("rotate a verified pair by a divider set", "doc",
                       (_X, _Y, _opt("--d", "set", required=True), _WINDOW,
                        _opt("--force", action="store_true", help="mutate even if the pair fails")),
@@ -318,6 +358,8 @@ def _run(name: str, a: argparse.Namespace) -> int:
         raise InfgonError(f"--n must be a positive integer, got {a.n}")
     c = argparse.Namespace(doc=None, p=None, w=None, arcs=None)
     if a.input:
+        from .documents import parse_document
+
         c.doc = parse_document(Path(a.input).read_bytes(), n=a.n)
     elif cmd.needs == "doc" or (cmd.needs == "n" and a.n is None):
         raise InfgonError(

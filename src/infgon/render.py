@@ -8,10 +8,15 @@ radii in whole pixels since arc spans are whole units).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .arcs import Arc, component
-from .arcsets import ArcSet, Window, contains, members_in_window
 from .errors import WindowTooSmall
+
+# ``infgon.cli`` imports this module, so it stays cheap to load: ``_gather``
+# imports ``arcsets`` when it runs.
+if TYPE_CHECKING:
+    from .arcsets import ArcSet, Window
 
 __all__ = ["RenderResult", "render_svg", "render_text"]
 
@@ -26,8 +31,12 @@ class RenderResult:
 
 
 def _gather(
-    sets: dict[str, ArcSet], names: list[str], w: Window
-) -> tuple[list[Arc], tuple[str, ...]]:
+    sets: dict[str, ArcSet], names: list[str], w: Window, highlight: str | None
+) -> tuple[list[Arc], set[Arc], tuple[str, ...]]:
+    """The visible arcs sorted, those of them in the highlighted set, and the
+    warnings."""
+    from .arcsets import contains, members_in_window
+
     visible: set[Arc] = set()
     warnings = []
     for name in names:
@@ -44,7 +53,9 @@ def _gather(
                     f"set {name!r} has no member inside [{w.lo}, {w.hi}]"
                 )
         visible.update(members)
-    return sorted(visible), tuple(warnings)
+    hl = sets[highlight] if highlight is not None else None
+    marked = {a for a in visible if hl is not None and contains(hl, a)}
+    return sorted(visible), marked, tuple(warnings)
 
 
 def render_svg(
@@ -54,8 +65,7 @@ def render_svg(
     highlight: str | None = None,
 ) -> RenderResult:
     """Number line with integer ticks and one semicircle per visible arc."""
-    arcs, warnings = _gather(sets, names, w)
-    hl = sets[highlight] if highlight is not None else None
+    arcs, marked, warnings = _gather(sets, names, w, highlight)
     max_r = max((a.u - a.t for a in arcs), default=2) * SCALE // 2
     base = PAD + max_r
     width = (w.hi - w.lo) * SCALE + 2 * PAD
@@ -82,7 +92,7 @@ def render_svg(
         )
     for a in arcs:
         r = (a.u - a.t) * SCALE // 2
-        is_hl = hl is not None and contains(hl, a)
+        is_hl = a in marked
         stroke = "#cc2222" if is_hl else "#000000"
         width_px = 3 if is_hl else 2
         lines.append(
@@ -100,21 +110,20 @@ def render_text(
     highlight: str | None = None,
 ) -> RenderResult:
     """Fixed-width grid: one row per quiver component, arcs in order."""
-    arcs, warnings = _gather(sets, names, w)
+    arcs, marked, warnings = _gather(sets, names, w, highlight)
     params = sets[names[0]].params if names else None
-    hl = sets[highlight] if highlight is not None else None
     out = [f"window [{w.lo}, {w.hi}]  sets: {' '.join(names)}"]
     if params is not None:
         cell = max([len(str(a)) for a in arcs], default=8) + 1
         for k in range(params.n):
             row = [a for a in arcs if component(a, params) == k]
             marked = [
-                (str(a) + ("*" if hl is not None and contains(hl, a) else ""))
+                (str(a) + ("*" if a in marked else ""))
                 for a in row
             ]
             out.append(
                 f"component {k}: " + "".join(m.ljust(cell + 1) for m in marked).rstrip()
             )
-    if hl is not None:
+    if highlight is not None:
         out.append("(* = highlighted)")
     return RenderResult(("\n".join(out) + "\n").encode("utf-8"), warnings)

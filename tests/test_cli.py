@@ -5,7 +5,7 @@ import jsonschema
 import pytest
 
 from infgon.arcsets import Window
-from infgon import cli
+from infgon import arcsets, oracles
 from infgon.cli import COMMANDS, MAX_WINDOW_WIDTH, _parse_window, main
 from infgon.documents import REPORT_SCHEMA
 
@@ -374,7 +374,7 @@ def test_window_wider_than_the_limit_is_an_input_error(capsys):
 def test_oracle_window_wider_than_its_limit_is_an_input_error(capsys, monkeypatch):
     limit = COMMANDS["oracle"].max_width
     assert limit == 64 < MAX_WINDOW_WIDTH
-    monkeypatch.setattr(cli, "cross_ext_mismatches", lambda *a: pytest.fail("a sweep ran"))
+    monkeypatch.setattr(oracles, "cross_ext_mismatches", lambda *a: pytest.fail("a sweep ran"))
     for window in (f"0..{limit + 1}", f"-40..{MAX_WINDOW_WIDTH - 40}"):
         code, out, err = run(capsys, "oracle", "--n", "1", "--window", window)
         assert_input_error(code, err)
@@ -385,7 +385,7 @@ def test_oracle_window_wider_than_its_limit_is_an_input_error(capsys, monkeypatc
 def test_ptolemy_window_wider_than_its_limit_is_an_input_error(capsys, monkeypatch):
     limit = COMMANDS["ptolemy"].max_width
     assert limit == 64 < MAX_WINDOW_WIDTH
-    monkeypatch.setattr(cli, "is_ptolemy_window", lambda *a: pytest.fail("a pair loop ran"))
+    monkeypatch.setattr(arcsets, "is_ptolemy_window", lambda *a: pytest.fail("a pair loop ran"))
     for window in (f"0..{limit + 1}", "-40..40", f"-40..{MAX_WINDOW_WIDTH - 40}"):
         code, out, err = run(
             capsys, "ptolemy", "--input", EXAMPLE, "--set", "Ync", "--window", window
