@@ -1,7 +1,9 @@
-"""The per-metric status that ``scripts/bench_all.py --baseline`` reports,
-fed synthetic run records (no benchmark process is started)."""
+"""``scripts/bench_all.py`` without starting a benchmark process: the
+per-metric status that ``--baseline`` reports, fed synthetic run records, and
+how each run is prepared (the bytecode clean-up and the child environment)."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -49,3 +51,30 @@ def test_status_per_metric(name, change, parent, want):
 def test_status_without_results_is_unresolved():
     failed = [{"seed": 1, "correct": False, "error": "boom"}]
     assert set(bench_all.status(failed, runs("ops_per_s", [1.0])).values()) == {"unresolved"}
+
+
+def test_clear_bytecode_removes_only_caches_under_src(tmp_path):
+    kept = ["src/infgon/cli.py", "src/infgon/notes/__pycache__", "tests/__pycache__/t.pyc",
+            "perfbench/__pycache__/run.pyc"]
+    removed = ["src/__pycache__/x.pyc", "src/infgon/__pycache__/cli.cpython-311.pyc",
+               "src/infgon/sub/__pycache__/y.pyc"]
+    for rel in kept + removed:
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text("")
+    bench_all.clear_bytecode(tmp_path)
+    assert all((tmp_path / rel).is_file() for rel in kept)
+    assert not any((tmp_path / rel).parent.exists() for rel in removed)
+    assert (tmp_path / "src/infgon/sub").is_dir()
+
+
+def test_runs_write_no_bytecode(monkeypatch, tmp_path):
+    seen = {}
+
+    def fake_run(cmd, cwd, env, **kw):
+        seen.update(env)
+        return subprocess.CompletedProcess(cmd, 1, "", "boom")
+
+    monkeypatch.setattr(bench_all.subprocess, "run", fake_run)
+    assert bench_all.bench(tmp_path, "cli", 1, 1.0) == {"seed": 1, "correct": False,
+                                                         "error": "boom"}
+    assert seen["PYTHONDONTWRITEBYTECODE"] == "1"
