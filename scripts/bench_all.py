@@ -21,7 +21,7 @@ every change run beats every parent run, else ``ok``.
 Both sides run as a fresh checkout does: before the first run the bytecode
 cached under each checkout's ``src/`` is removed, and every run sets
 ``PYTHONDONTWRITEBYTECODE=1``, so each interpreter compiles the library
-modules it imports, and only those, as a new checkout's does.  A leftover
+modules it imports, and only those, as in a new checkout.  A leftover
 cache would skew ``setup_s`` and ``cli`` between checkouts: on a 2-vCPU guest
 (Python 3.11.7), importing every module of ``infgon`` took 69-89 ms without
 cached bytecode and 35-55 ms with it.  ``PYTHONPYCACHEPREFIX`` is not used,
