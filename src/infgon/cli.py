@@ -17,8 +17,9 @@ At import this module loads only what parsing and error reporting need
 ``ext`` never loads the closures and ``check-pair`` never loads ``mutation``
 or the oracles.  ``render`` is the exception and loads with this module: the
 benchmark's layer trace (``perfbench/layertrace.py``) imports ``infgon.cli``
-and then looks ``infgon.render`` up among the loaded modules.  ``render``
-defers its own ``arcsets`` import, so loading it stays cheap.
+and then looks ``infgon.render`` up among the loaded modules; once the trace
+imports each module it wraps by name, this import can go.  ``render`` defers
+its own ``arcsets`` import, so loading it stays cheap.
 """
 
 from __future__ import annotations

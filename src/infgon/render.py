@@ -13,8 +13,8 @@ from typing import TYPE_CHECKING
 from .arcs import Arc, component
 from .errors import WindowTooSmall
 
-# ``infgon.cli`` imports this module, so it stays cheap to load: ``_gather``
-# imports ``arcsets`` when it runs.
+# ``infgon.cli`` imports this module, so it stays cheap to load: ``arcsets``
+# is imported by the functions that draw.
 if TYPE_CHECKING:
     from .arcsets import ArcSet, Window
 
@@ -31,11 +31,9 @@ class RenderResult:
 
 
 def _gather(
-    sets: dict[str, ArcSet], names: list[str], w: Window, highlight: str | None
-) -> tuple[list[Arc], set[Arc], tuple[str, ...]]:
-    """The visible arcs sorted, those of them in the highlighted set, and the
-    warnings."""
-    from .arcsets import contains, members_in_window
+    sets: dict[str, ArcSet], names: list[str], w: Window
+) -> tuple[list[Arc], tuple[str, ...]]:
+    from .arcsets import members_in_window
 
     visible: set[Arc] = set()
     warnings = []
@@ -53,9 +51,7 @@ def _gather(
                     f"set {name!r} has no member inside [{w.lo}, {w.hi}]"
                 )
         visible.update(members)
-    hl = sets[highlight] if highlight is not None else None
-    marked = {a for a in visible if hl is not None and contains(hl, a)}
-    return sorted(visible), marked, tuple(warnings)
+    return sorted(visible), tuple(warnings)
 
 
 def render_svg(
@@ -65,7 +61,10 @@ def render_svg(
     highlight: str | None = None,
 ) -> RenderResult:
     """Number line with integer ticks and one semicircle per visible arc."""
-    arcs, marked, warnings = _gather(sets, names, w, highlight)
+    from .arcsets import contains
+
+    arcs, warnings = _gather(sets, names, w)
+    hl = sets[highlight] if highlight is not None else None
     max_r = max((a.u - a.t for a in arcs), default=2) * SCALE // 2
     base = PAD + max_r
     width = (w.hi - w.lo) * SCALE + 2 * PAD
@@ -92,7 +91,7 @@ def render_svg(
         )
     for a in arcs:
         r = (a.u - a.t) * SCALE // 2
-        is_hl = a in marked
+        is_hl = hl is not None and contains(hl, a)
         stroke = "#cc2222" if is_hl else "#000000"
         width_px = 3 if is_hl else 2
         lines.append(
@@ -110,20 +109,23 @@ def render_text(
     highlight: str | None = None,
 ) -> RenderResult:
     """Fixed-width grid: one row per quiver component, arcs in order."""
-    arcs, marked, warnings = _gather(sets, names, w, highlight)
+    from .arcsets import contains
+
+    arcs, warnings = _gather(sets, names, w)
     params = sets[names[0]].params if names else None
+    hl = sets[highlight] if highlight is not None else None
     out = [f"window [{w.lo}, {w.hi}]  sets: {' '.join(names)}"]
     if params is not None:
         cell = max([len(str(a)) for a in arcs], default=8) + 1
         for k in range(params.n):
             row = [a for a in arcs if component(a, params) == k]
             marked = [
-                (str(a) + ("*" if a in marked else ""))
+                (str(a) + ("*" if hl is not None and contains(hl, a) else ""))
                 for a in row
             ]
             out.append(
                 f"component {k}: " + "".join(m.ljust(cell + 1) for m in marked).rstrip()
             )
-    if highlight is not None:
+    if hl is not None:
         out.append("(* = highlighted)")
     return RenderResult(("\n".join(out) + "\n").encode("utf-8"), warnings)

@@ -193,6 +193,26 @@ def test_render_text_buckets_components(capsys):
     assert sum(1 for line in lines if line.startswith("component ")) == 3
 
 
+def test_render_text_marks_highlighted_arcs_in_every_component(capsys):
+    # Y holds some but not all of the arcs shown in each component
+    code, out, _ = run(
+        capsys,
+        "render", "--input", EXAMPLE, "--sets", "X,Ync,D", "--highlight", "Y",
+        "--window", "-9..15", "--style", "text",
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "window [-9, 15]  sets: X Ync D",
+        "component 0: (-7,6)   (-7,9)*  (-7,12)* (-7,15)* (-4,0)   (-4,3)*  (-4,6)*  "
+        "(-4,9)   (-4,12)  (-4,15)  (-1,3)   (8,12)*  (8,15)*  (11,15)*",
+        "component 1: (-9,-5)* (-9,7)*  (-9,10)* (-9,13)* (-6,7)*  (-6,10)* (-6,13)* "
+        "(-3,1)   (6,10)*  (6,13)*  (9,13)*",
+        "component 2: (-8,-4)* (-8,8)*  (-8,11)* (-8,14)* (-5,8)*  (-5,11)* (-5,14)* "
+        "(-2,2)   (7,11)*  (7,14)*  (10,14)*",
+        "(* = highlighted)",
+    ]
+
+
 def test_render_empty_set_gives_ticks_only(capsys, tmp_path):
     doc = tmp_path / "empty.json"
     doc.write_text(json.dumps({"n": 3, "sets": {"E": {"explicit": []}}}))

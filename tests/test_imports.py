@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,12 @@ from infgon import cotorsion
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE = str(ROOT / "demos" / "example_sets.json")
+
+
+def child_env() -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def loaded_after(code: str) -> tuple[list, set[str]]:
@@ -34,9 +41,7 @@ def loaded_after(code: str) -> tuple[list, set[str]]:
         "        if m == 'infgon' or m.startswith('infgon.')]",
         "print(json.dumps([RESULT, mods]))",
     ])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result, mods = json.loads(proc.stdout.splitlines()[-1])
@@ -48,20 +53,31 @@ def loaded_after(code: str) -> tuple[list, set[str]]:
 HEAVY = {"mutation", "homs", "oracles", "cellwalk"}
 
 
-@pytest.mark.parametrize("argv,exit_code,needs,never", [
-    (["ext", "--n", "3", "--arcs", "(2,9) (-1,6)", "--degree", "1"], 0, {"homs"},
-     {"arcsets", "families", "regions", "cotorsion", "documents", "mutation", "oracles",
-      "cellwalk"}),
-    (["check-pair", "--input", EXAMPLE, "--x", "X", "--y", "Y", "--window", "-20..20"], 1,
-     {"cotorsion", "documents"}, HEAVY),
-    (["render", "--input", EXAMPLE, "--sets", "X", "--highlight", "D", "--window", "-8..10",
-      "--style", "svg", "--out", "{out}"], 0, {"arcsets", "documents"}, HEAVY),
-    (["mutate", "--input", EXAMPLE, "--x", "X", "--y", "Ync", "--d", "D", "--window",
-      "-20..20"], 0, {"mutation", "cotorsion"}, {"oracles", "cellwalk"}),
-], ids=["ext", "check-pair", "render", "mutate"])
+# command -> (argv, exit code, layers it needs, layers it must not load)
+README = {
+    "ext": (["ext", "--n", "3", "--arcs", "(2,9) (-1,6)", "--degree", "1"], 0, {"homs"},
+            {"arcsets", "families", "regions", "cotorsion", "documents", "mutation", "oracles",
+             "cellwalk"}),
+    "check-pair": (["check-pair", "--input", EXAMPLE, "--x", "X", "--y", "Y", "--window",
+                    "-20..20"], 1, {"cotorsion", "documents"}, HEAVY),
+    "render": (["render", "--input", EXAMPLE, "--sets", "X", "--highlight", "D", "--window",
+                "-8..10", "--style", "svg", "--out", "{out}"], 0, {"arcsets", "documents"},
+               HEAVY),
+    "mutate": (["mutate", "--input", EXAMPLE, "--x", "X", "--y", "Ync", "--d", "D", "--window",
+                "-20..20"], 0, {"mutation", "cotorsion"}, {"oracles", "cellwalk"}),
+}
+
+
+def run_command(argv: list[str], out_dir: Path) -> tuple[int, set[str]]:
+    """``cli.main(argv)`` in a fresh interpreter, writing any file to
+    ``out_dir``: its exit code and the ``infgon`` modules it loaded."""
+    argv = [a.format(out=out_dir / "figure.svg") for a in argv]
+    return loaded_after(f"from infgon import cli\nRESULT = cli.main({argv!r})")
+
+
+@pytest.mark.parametrize("argv,exit_code,needs,never", README.values(), ids=README)
 def test_readme_command_loads_only_its_layers(tmp_path, argv, exit_code, needs, never):
-    argv = [a.format(out=tmp_path / "figure.svg") for a in argv]
-    got, mods = loaded_after(f"from infgon import cli\nRESULT = cli.main({argv!r})")
+    got, mods = run_command(argv, tmp_path)
     assert got == exit_code
     assert needs <= mods
     assert not mods & never, f"{argv[0]} loaded {sorted(mods & never)}"
@@ -146,3 +162,20 @@ def test_resolved_names_are_not_cached(monkeypatch):
     monkeypatch.undo()
     assert infgon.check_pair is original
     assert "check_pair" not in vars(infgon)
+
+
+if __name__ == "__main__":
+    # A Markdown summary: the modules each README command loads, and the
+    # cumulative ``-X importtime`` of ``infgon.cli``.
+    print("Modules each README command loads (fresh interpreter)\n")
+    print("| command | `infgon.*` modules |\n|---|---|")
+    print(f"| import infgon.cli | {' '.join(sorted(loaded_after('import infgon.cli')[1]))} |")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (argv, *_) in README.items():
+            print(f"| {name} | {' '.join(sorted(run_command(argv, Path(tmp))[1]))} |")
+    err = subprocess.run([sys.executable, "-X", "importtime", "-c", "import infgon.cli"],
+                         cwd=ROOT, env=child_env(), capture_output=True, text=True,
+                         check=True).stderr
+    us = next(int(f[1]) for f in (line.split("|") for line in err.splitlines()[1:])
+              if f[2].strip() == "infgon.cli")
+    print(f"\n`import infgon.cli` (`-X importtime`, cumulative): {us / 1000:.1f} ms")
