@@ -89,6 +89,8 @@ class Window:
     hi: int
 
     def __post_init__(self) -> None:
+        if not all(isinstance(e, int) and not isinstance(e, bool) for e in (self.lo, self.hi)):
+            raise ValueError(f"window ends must be integers, got [{self.lo!r}, {self.hi!r}]")
         if self.lo >= self.hi:
             raise ValueError(f"window needs lo < hi, got [{self.lo}, {self.hi}]")
 

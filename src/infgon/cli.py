@@ -12,14 +12,12 @@ text or JSON.  A handler ``run(args, ctx)`` only computes a :class:`Report`;
 ``ctx`` holds the document ``doc``, the modulus ``p``, the window ``w``, the
 ``arcs`` and, under each set-name option's name, its arc set.
 
-At import this module loads only what parsing and error reporting need
-(``arcs``, ``errors``); each handler imports its own layer when it runs, so
-``ext`` never loads the closures and ``check-pair`` never loads ``mutation``
-or the oracles.  ``render`` is the exception and loads with this module: the
-benchmark's layer trace (``perfbench/layertrace.py``) imports ``infgon.cli``
-and then looks ``infgon.render`` up among the loaded modules; once the trace
-imports each module it wraps by name, this import can go.  ``render`` defers
-its own ``arcsets`` import, so loading it stays cheap.
+Handlers reach each layer through the package's lazy names
+(``infgon.check_pair``), so a command loads only the layers it runs.  At
+import this module loads ``arcs``, ``errors`` and ``render``: the benchmark's
+layer trace (``perfbench/layertrace.py``) imports ``infgon.cli`` and then
+looks ``infgon.render`` up among the loaded modules; once the trace imports
+each module it wraps by name, the ``render`` import can go.
 """
 
 from __future__ import annotations
@@ -33,6 +31,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
+
+import infgon
 
 from .arcs import Arc, ModelParams, cross, normalize
 from .errors import InfgonError, PairCheckFailed
@@ -58,15 +58,13 @@ def _int(digits: str) -> int:
 
 
 def _parse_window(text: str, max_width: int = MAX_WINDOW_WIDTH) -> Window:
-    from .arcsets import Window
-
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
     lo, hi = map(_int, m.groups()) if m else (0, 0)
     if lo >= hi:
         raise InfgonError(f"bad window {text!r}; expected LO..HI with LO < HI, e.g. -20..20")
     if hi - lo > max_width:
         raise InfgonError(f"window {text!r} is wider than {max_width}")
-    return Window(lo, hi)
+    return infgon.Window(lo, hi)
 
 
 def _parse_arcs(text: str) -> list[Arc]:
@@ -121,34 +119,24 @@ def _arc_list(arcs: list[Arc]) -> Report:
 
 
 def _ext(a, c) -> Report:
-    from .homs import ext_dim
-
-    return _dim(ext_dim(*c.arcs, a.degree, c.p), c.arcs)
+    return _dim(infgon.ext_dim(*c.arcs, a.degree, c.p), c.arcs)
 
 
 def _hom(a, c) -> Report:
-    from .homs import hom_dim
-
-    return _dim(hom_dim(*c.arcs, c.p), c.arcs)
+    return _dim(infgon.hom_dim(*c.arcs, c.p), c.arcs)
 
 
 def _nc(a, c) -> Report:
-    from .arcsets import nc_window
-
-    return _arc_list(nc_window(c.set, c.w))
+    return _arc_list(infgon.nc_window(c.set, c.w))
 
 
 def _frame(a, c) -> Report:
-    from .arcsets import frame
-
-    return _arc_list(frame(c.set, c.w))
+    return _arc_list(infgon.frame(c.set, c.w))
 
 
 def _fountains(a, c) -> Report:
-    from .arcsets import finiteness_check, fountain_loci
-
-    left, right = (_region_json(reg) for reg in fountain_loci(c.set))
-    fin = finiteness_check(c.set)
+    left, right = (_region_json(reg) for reg in infgon.fountain_loci(c.set))
+    fin = infgon.finiteness_check(c.set)
     return Report(
         [
             f"left-fountains:  {left}",
@@ -163,9 +151,7 @@ def _fountains(a, c) -> Report:
 
 
 def _ptolemy(a, c) -> Report:
-    from .arcsets import is_ptolemy_window
-
-    rep = is_ptolemy_window(c.set, c.w)
+    rep = infgon.is_ptolemy_window(c.set, c.w)
     lines = [(rep.ok, f"set {a.set} is a Ptolemy diagram on [{c.w.lo}, {c.w.hi}]")]
     if rep.ok:
         return Report(lines, True)
@@ -198,27 +184,22 @@ def _pair_report(rep: PairReport, lines: list, label: str, **fields) -> Report:
 
 
 def _check_pair(a, c) -> Report:
-    from .cotorsion import check_pair
-
-    return _pair_report(check_pair(c.x, c.y, c.w), [], f"({a.x}, {a.y}) window-certified pair")
+    rep = infgon.check_pair(c.x, c.y, c.w)
+    return _pair_report(rep, [], f"({a.x}, {a.y}) window-certified pair")
 
 
 def _core(a, c) -> Report:
-    from .cotorsion import core
-
-    return _arc_list(core(c.x, c.y, c.w))
+    return _arc_list(infgon.core(c.x, c.y, c.w))
 
 
 def _mutate(a, c) -> Report:
-    from .arcsets import members_in_window
     from .documents import arcset_to_json
-    from .mutation import DividerSet, mutate_pair
 
     if c.d.families:
         raise InfgonError(f"divider set {a.d!r} must be finite (no families)")
-    d = DividerSet(c.p, c.d.explicit)
+    d = infgon.DividerSet(c.p, c.d.explicit)
     try:
-        x2, y2, rep = mutate_pair(c.x, c.y, d, c.w, force=a.force)
+        x2, y2, rep = infgon.mutate_pair(c.x, c.y, d, c.w, force=a.force)
     except PairCheckFailed as exc:
         raise InfgonError(
             "pair fails its verification report; pass --force to mutate anyway"
@@ -227,7 +208,7 @@ def _mutate(a, c) -> Report:
     lines = []
     for name, s in ((a.x, x2), (a.y, y2)):
         lines.append(f"rotated {name} on [{shrunk.lo}, {shrunk.hi}]:")
-        lines.extend(f"  {arc}" for arc in members_in_window(s, shrunk))
+        lines.extend(f"  {arc}" for arc in infgon.members_in_window(s, shrunk))
     result = {
         "rotated_x": arcset_to_json(x2),
         "rotated_y": arcset_to_json(y2),
@@ -237,20 +218,15 @@ def _mutate(a, c) -> Report:
 
 
 def _oracle(a, c) -> Report:
-    from .oracles import (
-        cross_ext_mismatches,
-        hom_serre_mismatches,
-        run_mutation_fuzz,
-        serre_duality_mismatches,
-    )
+    from . import oracles
 
     if a.fuzz_cases < 0:
         raise InfgonError(f"--fuzz-cases must be a non-negative integer, got {a.fuzz_cases}")
     lo, hi = c.w.lo, c.w.hi
-    cx = cross_ext_mismatches(c.p, lo, hi)
-    sd = serre_duality_mismatches(c.p, lo, hi)
-    hs = hom_serre_mismatches(c.p, lo, hi)
-    fuzz = run_mutation_fuzz(a.fuzz_cases, a.seed)
+    cx = oracles.cross_ext_mismatches(c.p, lo, hi)
+    sd = oracles.serre_duality_mismatches(c.p, lo, hi)
+    hs = oracles.hom_serre_mismatches(c.p, lo, hi)
+    fuzz = oracles.run_mutation_fuzz(a.fuzz_cases, a.seed)
     lines = [
         (not cx, f"crossing vs Ext agreement on [{lo}, {hi}] (n={c.p.n})"),
         (not sd, "Ext dimension duality ext(x,y,i) == ext(y,x,n+1-i)"),
@@ -359,9 +335,7 @@ def _run(name: str, a: argparse.Namespace) -> int:
         raise InfgonError(f"--n must be a positive integer, got {a.n}")
     c = argparse.Namespace(doc=None, p=None, w=None, arcs=None)
     if a.input:
-        from .documents import parse_document
-
-        c.doc = parse_document(Path(a.input).read_bytes(), n=a.n)
+        c.doc = infgon.parse_document(Path(a.input).read_bytes(), n=a.n)
     elif cmd.needs == "doc" or (cmd.needs == "n" and a.n is None):
         raise InfgonError(
             "this command needs --input FILE" if cmd.needs == "doc"

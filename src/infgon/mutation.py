@@ -40,7 +40,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .arcs import Arc, ModelParams, cross, is_admissible, require_admissible
+from .arcs import Arc, ModelParams, cross, require_admissible
 from .arcsets import ArcSet, Window, _make, contains, crosses_set
 from .cotorsion import PairReport, check_pair
 from .errors import (
@@ -265,14 +265,18 @@ def _rotate_family(f: Family, d: DividerSet) -> tuple[list[tuple[int, int]], lis
     return members, fams
 
 
+def _same_modulus(x: ArcSet, d: DividerSet) -> None:
+    if x.params != d.params:
+        raise ValueError("arc set and divider set disagree on the modulus n")
+
+
 def rotate_set(x: ArcSet, d: DividerSet) -> ArcSet:
     """Rotate every member of ``x`` except the dividers; keep the dividers.
 
     Requires each divider arc to belong to ``x`` and to cross nothing in it
     (the divider must sit inside the frame of the set).
     """
-    if x.params != d.params:
-        raise ValueError("arc set and divider set disagree on the modulus n")
+    _same_modulus(x, d)
     for b in sorted(d.arcs):
         if not contains(x, b):
             raise DNotInFrame(f"divider arc {b} is not a member of the set")
@@ -303,15 +307,15 @@ def mutate_pair(
     ``check_pair``'s margin, which the rotated sets need not meet there (the
     demo's rotated ``Ync``, on [-9, 9], has explicit endpoints -17 to 17).
     """
+    _same_modulus(x, d)
     rep = check_pair(x, y, w)
     if not rep.verdict and not force:
         raise PairCheckFailed(
             "pair fails its verification report; pass force=True to mutate anyway"
         )
-    # check_pair matched the moduli: a divider is in the core exactly when it
-    # lies in w, is admissible and is in both sets
+    # the moduli match, so a divider is in the core iff it lies in w and in both sets
     stray = sorted(b for b in d.arcs if not (w.lo <= b.t and b.u <= w.hi and
-                   is_admissible(b, x.params) and contains(x, b) and contains(y, b)))
+                   contains(x, b) and contains(y, b)))
     if stray:
         raise DNotInCore(f"divider arcs outside the pair core: {stray}")
     x2 = rotate_set(x, d)

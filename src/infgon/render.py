@@ -10,11 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import infgon
+
 from .arcs import Arc, component
 from .errors import WindowTooSmall
 
-# ``infgon.cli`` imports this module, so it stays cheap to load: ``arcsets``
-# is imported by the functions that draw.
+# ``infgon.cli`` loads this module, so it reaches ``arcsets`` by ``infgon``'s lazy names
 if TYPE_CHECKING:
     from .arcsets import ArcSet, Window
 
@@ -33,13 +34,11 @@ class RenderResult:
 def _gather(
     sets: dict[str, ArcSet], names: list[str], w: Window
 ) -> tuple[list[Arc], tuple[str, ...]]:
-    from .arcsets import members_in_window
-
     visible: set[Arc] = set()
     warnings = []
     for name in names:
         s = sets[name]
-        members = members_in_window(s, w)
+        members = infgon.members_in_window(s, w)
         if not members and (s.explicit or s.families):
             if s.families:
                 warnings.append(
@@ -61,8 +60,7 @@ def render_svg(
     highlight: str | None = None,
 ) -> RenderResult:
     """Number line with integer ticks and one semicircle per visible arc."""
-    from .arcsets import contains
-
+    contains = infgon.contains
     arcs, warnings = _gather(sets, names, w)
     hl = sets[highlight] if highlight is not None else None
     max_r = max((a.u - a.t for a in arcs), default=2) * SCALE // 2
@@ -109,8 +107,7 @@ def render_text(
     highlight: str | None = None,
 ) -> RenderResult:
     """Fixed-width grid: one row per quiver component, arcs in order."""
-    from .arcsets import contains
-
+    contains = infgon.contains
     arcs, warnings = _gather(sets, names, w)
     params = sets[names[0]].params if names else None
     hl = sets[highlight] if highlight is not None else None

@@ -55,8 +55,10 @@ Y_LITERAL = ArcSet.of(
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        Window(3, 3)
+    # an empty window, then ends that are not integers (bool included)
+    for lo, hi in [(3, 3), (0.5, 3.5), (-20.5, 20), (-20, 20.0), (False, 5), (0, True), ("0", 5)]:
+        with pytest.raises(ValueError):
+            Window(lo, hi)
     assert Window(-2, 5).shrink(2) == Window(0, 3)
 
 

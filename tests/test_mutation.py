@@ -315,9 +315,14 @@ def test_mutate_pair_rejects_divider_outside_core():
     far = ArcSet.of(P3, [Arc(-4, 3)], [HalfRight(14)])
     with pytest.raises(DNotInCore):
         mutate_pair(far, far, DividerSet.of(P3, [Arc(40, 44)]), W, force=True)
-    # a divider for another modulus belongs to neither set
-    with pytest.raises(DNotInCore):
-        mutate_pair(GOOD_X, GOOD_Y, DividerSet.of(P1, [Arc(0, 2)]), W)
+
+
+@pytest.mark.parametrize("arc", [Arc(0, 2), Arc(-4, -1), Arc(-4, 6)])
+def test_mutate_pair_names_a_divider_set_of_another_modulus(arc):
+    # (-4, 6) is admissible for n = 3 and a core member, (-4, -1) and (0, 2) are not:
+    # the error is the same either way
+    with pytest.raises(ValueError, match="disagree on the modulus n"):
+        mutate_pair(GOOD_X, GOOD_Y, DividerSet.of(P1, [arc]), W)
 
 
 def test_mutate_pair_force_path():
