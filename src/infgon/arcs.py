@@ -10,7 +10,6 @@ crossing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DegeneratePair, NonAdmissible
@@ -28,15 +27,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """The integer n >= 1 fixing which arcs are admissible."""
-
+class _ModelParamsBase(NamedTuple):
     n: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"modulus must be a positive integer, got {self.n!r}")
+
+class ModelParams(_ModelParamsBase):
+    """The integer n >= 1 fixing which arcs are admissible."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int) -> "ModelParams":
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"modulus must be a positive integer, got {n!r}")
+        return tuple.__new__(cls, (n,))
 
 
 class _ArcBase(NamedTuple):
@@ -69,8 +72,8 @@ def normalize(t: int, u: int) -> Arc:
 
 def is_admissible(a: Arc, p: ModelParams) -> bool:
     """True iff ``u - t >= 2`` and ``u - t`` is congruent to 1 mod n."""
-    d = a.u - a.t
-    return d >= 2 and d % p.n == 1 % p.n
+    d, n = a.u - a.t, p.n
+    return d >= 2 and d % n == 1 % n
 
 
 def require_admissible(a: Arc, p: ModelParams) -> None:

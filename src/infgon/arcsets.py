@@ -46,10 +46,9 @@ references ``nc_window_brute`` and ``members_in_window_brute`` in
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, repeat
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .arcs import Arc, ModelParams, cross, is_admissible, require_admissible
 from .errors import NonAffinePiece, UnsupportedFamilies
@@ -81,42 +80,61 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Window:
-    """Inclusive integer interval [lo, hi]."""
-
+class _WindowBase(NamedTuple):
     lo: int
     hi: int
 
-    def __post_init__(self) -> None:
-        if not all(isinstance(e, int) and not isinstance(e, bool) for e in (self.lo, self.hi)):
-            raise ValueError(f"window ends must be integers, got [{self.lo!r}, {self.hi!r}]")
-        if self.lo >= self.hi:
-            raise ValueError(f"window needs lo < hi, got [{self.lo}, {self.hi}]")
+
+class Window(_WindowBase):
+    """Inclusive integer interval [lo, hi]."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: int, hi: int) -> "Window":
+        if not all(isinstance(e, int) and not isinstance(e, bool) for e in (lo, hi)):
+            raise ValueError(f"window ends must be integers, got [{lo!r}, {hi!r}]")
+        if lo >= hi:
+            raise ValueError(f"window needs lo < hi, got [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
 
     def shrink(self, margin: int) -> "Window":
         return Window(self.lo + margin, self.hi - margin)
 
 
-@dataclass(frozen=True)
-class ArcSet:
-    """Arc collection closed under nothing in particular: data, not a closure."""
+def _checked_arcs(arcs: Iterable[Arc], p: ModelParams) -> frozenset[Arc]:
+    """``arcs`` as a frozenset, once each is known to be an admissible Arc."""
+    items = arcs if isinstance(arcs, frozenset) else list(arcs)
+    for a in items:
+        if not isinstance(a, Arc):
+            raise TypeError(f"expected an Arc, got {a!r}")
+        require_admissible(a, p)
+    return frozenset(items)
 
+
+class _ArcSetBase(NamedTuple):
     params: ModelParams
-    explicit: frozenset[Arc] = frozenset()
-    families: tuple[Family, ...] = ()
+    explicit: frozenset[Arc]
+    families: tuple[Family, ...]
 
-    def __post_init__(self) -> None:
-        for a in self.explicit:
-            require_admissible(a, self.params)
+
+class ArcSet(_ArcSetBase):
+    """Arc collection closed under nothing in particular: data, not a closure.
+    Building one (or ``ArcSet.of``) freezes both collections and checks each item."""
+
+    __slots__ = ()
+
+    def __new__(cls, params: ModelParams, explicit: Iterable[Arc] = (),
+                families: Iterable[Family] = ()) -> "ArcSet":
+        explicit, families = _checked_arcs(explicit, params), tuple(families)
+        for f in families:
+            if not isinstance(f, Family):
+                raise TypeError(f"expected a family, got {f!r}")
+        return tuple.__new__(cls, (params, explicit, families))
 
     @staticmethod
-    def of(
-        params: ModelParams,
-        explicit: Iterable[Arc] = (),
-        families: Iterable[Family] = (),
-    ) -> "ArcSet":
-        return ArcSet(params, frozenset(explicit), tuple(families))
+    def of(params: ModelParams, explicit: Iterable[Arc] = (),
+           families: Iterable[Family] = ()) -> "ArcSet":
+        return ArcSet(params, explicit, families)
 
 
 def features(*sets: ArcSet) -> list[int]:
@@ -138,18 +156,20 @@ def admissible_arcs_in(w: Window, p: ModelParams) -> Iterator[Arc]:
 
 def contains(s: ArcSet, a: Arc) -> bool:
     """Exact membership, families included."""
-    require_admissible(a, s.params)
+    p = s.params
+    require_admissible(a, p)
     if a in s.explicit:
         return True
-    return any(f.is_member(a, s.params) for f in s.families)
+    return any(f.is_member(a, p) for f in s.families)
 
 
 def crosses_set(a: Arc, s: ArcSet) -> bool:
     """Does any member of ``s`` (explicit or family-generated) cross ``a``?"""
-    require_admissible(a, s.params)
+    p = s.params
+    require_admissible(a, p)
     if any(cross(a, e) for e in s.explicit):
         return True
-    return any(f.crossed_by(a, s.params) for f in s.families)
+    return any(f.crossed_by(a, p) for f in s.families)
 
 
 # The sweeps build their output arcs with tuple.__new__: t < u and the
@@ -283,8 +303,7 @@ def _piece_runs(rows: Runs, first: int, cut: int, last: int, n: int) -> Runs:
     return out
 
 
-@dataclass(frozen=True)
-class _Pieces:
+class _Pieces(NamedTuple):
     """A window's feet cut into pieces ``(first, cut, last)`` for some sets:
     the kernels run on the feet before ``cut``, the rest follow from them."""
 
@@ -416,8 +435,7 @@ def fountain_loci(s: ArcSet) -> tuple[IntRegion, IntRegion]:
             empty.union(*(f.right_locus() for f in fams)))
 
 
-@dataclass(frozen=True)
-class FinitenessReport:
+class FinitenessReport(NamedTuple):
     contravariant_ok: bool
     covariant_ok: bool
     contravariant_witness: int | None = None
@@ -438,8 +456,7 @@ def frame(s: ArcSet, w: Window) -> list[Arc]:
     return plan.meet(plan.members(s), plan.closure(s))
 
 
-@dataclass(frozen=True)
-class PtolemyReport:
+class PtolemyReport(NamedTuple):
     ok: bool
     pair: tuple[Arc, Arc] | None = None
     missing: Arc | None = None

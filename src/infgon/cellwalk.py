@@ -10,7 +10,7 @@ are required to agree everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arcs import Arc
 
@@ -22,8 +22,7 @@ def _encloses(outer: Arc, inner: Arc) -> bool:
     return outer != inner and outer.t <= inner.t and inner.u <= outer.u
 
 
-@dataclass(frozen=True)
-class CellBoundary:
+class CellBoundary(NamedTuple):
     """Boundary structure of one cell: optional ceiling plus floor arcs.
 
     The boundary cycle, walked in increasing direction, goes up the line,

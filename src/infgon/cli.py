@@ -6,6 +6,7 @@ validating against :data:`infgon.documents.REPORT_SCHEMA`.
 
 Every command is one row of :data:`COMMANDS`: help text, what it needs,
 options (see :func:`_opt`), a handler and the widest ``--window`` it takes.
+:func:`main` builds the parser of the one command it runs, not of all twelve.
 One shared path, :func:`_run`, validates ``--n``, loads the document, reads
 the options, builds the report's ``inputs`` from them plus ``n``, and emits
 text or JSON.  A handler ``run(args, ctx)`` only computes a :class:`Report`;
@@ -28,7 +29,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -89,17 +89,16 @@ def _region_json(reg) -> dict:
     }
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """What a handler computed.  A text line is a string, or an ``(ok, label)``
     pair printed as a PASS/FAIL line.  ``inputs`` adds to the declared ones."""
 
-    lines: list = field(default_factory=list)
+    lines: list
     verdict: bool | None = None
-    witnesses: list = field(default_factory=list)
+    witnesses: list | tuple = ()
     result: object = None
     details: dict | None = None
-    inputs: dict = field(default_factory=dict)
+    inputs: dict | None = None
     warnings: tuple[str, ...] = ()
 
 
@@ -310,14 +309,19 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the command ``only`` alone; its usage
+    still lists them all, so it helps and fails as the full one does."""
     ap = argparse.ArgumentParser(
         prog="infgon",
         description="Arc combinatorics on the infinity-gon: dimensions, "
         "closures, pair verification, rotation mutation.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar=only and "{" + ",".join(COMMANDS) + "}")
     for name, cmd in COMMANDS.items():
+        if only not in (None, name):
+            continue
         sp = sub.add_parser(name, help=cmd.help)
         sp.add_argument("--input", help="JSON document of named arc sets")
         sp.add_argument("--n", type=int, default=None, help="modulus override")
@@ -358,7 +362,7 @@ def _run(name: str, a: argparse.Namespace) -> int:
             value = [c.w.lo, c.w.hi]
         inputs[dest] = value
     rep = cmd.run(a, c)
-    return _emit(name, a, {**inputs, **rep.inputs}, rep, t0)
+    return _emit(name, a, {**inputs, **(rep.inputs or {})}, rep, t0)
 
 
 def _verdict_line(ok: bool, label: str, color: bool) -> str:
@@ -411,8 +415,10 @@ def _absorb_window_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_absorb_window_values(argv))
+    argv = _absorb_window_values(sys.argv[1:] if argv is None else argv)
+    # the command's own parser; --help, no command or an unknown one need them all
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(only).parse_args(argv)
     try:
         return _run(args.command, args)
     except (InfgonError, OSError) as exc:

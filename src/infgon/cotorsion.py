@@ -16,8 +16,7 @@ and f families, plus the output, whatever the window's width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arcs import Arc, ModelParams, cross, require_admissible
 from .arcsets import ArcSet, Window, _Pieces, features, finiteness_check
@@ -33,15 +32,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     ok: bool
     mode: str  # "windowed" or "exact"
     witnesses: tuple = ()
 
 
-@dataclass(frozen=True)
-class PairReport:
+class PairReport(NamedTuple):
     x_equals_nc_y: Condition
     y_equals_nc_x: Condition
     x_contravariant: Condition
@@ -50,20 +47,11 @@ class PairReport:
 
     @property
     def verdict(self) -> bool:
-        return (
-            self.x_equals_nc_y.ok
-            and self.y_equals_nc_x.ok
-            and self.x_contravariant.ok
-            and self.y_covariant.ok
-        )
+        return all(c.ok for c in self[:4])
 
     def conditions(self) -> dict[str, Condition]:
-        return {
-            "x_equals_nc_y": self.x_equals_nc_y,
-            "y_equals_nc_x": self.y_equals_nc_x,
-            "x_contravariant": self.x_contravariant,
-            "y_covariant": self.y_covariant,
-        }
+        """The four conditions by field name, in field order."""
+        return dict(zip(self._fields[:4], self[:4]))
 
 
 def check_pair(
@@ -116,8 +104,7 @@ def core(x: ArcSet, y: ArcSet, w: Window) -> list[Arc]:
     return plan.meet(plan.members(x), plan.members(y))
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(NamedTuple):
     ok: bool
     witness: tuple[Arc, Arc] | None = None
 

@@ -20,7 +20,7 @@ arc is admissibility-checked against ``n`` at parse time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arcs import Arc, ModelParams, is_admissible
 from .arcsets import ArcSet
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     params: ModelParams
     sets: dict[str, ArcSet]
 

@@ -24,7 +24,7 @@ and ``hom_dim`` the message names the shifted y.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arcs import Arc, ModelParams, is_admissible, require_admissible, shift
 from .errors import InvalidDegree, NoExtension
@@ -47,8 +47,7 @@ class ExtKind(enum.Enum):
     ZERO = "zero"
 
 
-@dataclass(frozen=True)
-class ExtCase:
+class ExtCase(NamedTuple):
     kind: ExtKind
 
     @property
@@ -101,8 +100,7 @@ def ext_profile(x: Arc, y: Arc, p: ModelParams) -> list[int]:
     return [ext_dim(x, y, i, p) for i in range(1, p.n + 1)]
 
 
-@dataclass(frozen=True)
-class ExtTriangle:
+class ExtTriangle(NamedTuple):
     """Triangle ``left -> mid1 (+) mid2 -> right`` realizing Ext^1(right, left).
 
     A middle slot is None exactly when the template pair is not admissible

@@ -38,10 +38,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
-from .arcs import Arc, ModelParams, cross, require_admissible
-from .arcsets import ArcSet, Window, _make, contains, crosses_set
+from .arcs import Arc, ModelParams, cross
+from .arcsets import ArcSet, Window, _checked_arcs, _make, contains, crosses_set
 from .cotorsion import PairReport, check_pair
 from .errors import (
     DegeneratePair,
@@ -87,8 +87,7 @@ class DividerSet:
     _ends: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for a in self.arcs:
-            require_admissible(a, self.params)
+        object.__setattr__(self, "arcs", _checked_arcs(self.arcs, self.params))
         items = sorted(self.arcs)
         for i, a in enumerate(items):
             for b in items[i + 1 :]:
@@ -104,7 +103,7 @@ class DividerSet:
 
     @staticmethod
     def of(params: ModelParams, arcs: Iterable[Arc]) -> "DividerSet":
-        return DividerSet(params, frozenset(arcs))
+        return DividerSet(params, arcs)
 
     def endpoints(self) -> list[int]:
         return sorted(self._starts.keys() | self._ends.keys())
@@ -328,8 +327,7 @@ def mutate_pair(
     return x2, y2, rep2
 
 
-@dataclass(frozen=True)
-class RotationResult:
+class RotationResult(NamedTuple):
     image: Arc
     via_triangle: ExtTriangle
 

@@ -8,24 +8,19 @@ into rays), so membership and subset tests are exact and cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 __all__ = ["IntRegion"]
 
 
-@dataclass(frozen=True)
-class IntRegion:
+class IntRegion(NamedTuple):
     points: frozenset[int]
     left_max: int | None  # the ray (-inf, left_max], if any
     right_min: int | None  # the ray [right_min, inf), if any
 
     @staticmethod
-    def of(
-        points: Iterable[int] = (),
-        left_rays: Iterable[int] = (),
-        right_rays: Iterable[int] = (),
-    ) -> "IntRegion":
+    def of(points: Iterable[int] = (), left_rays: Iterable[int] = (),
+           right_rays: Iterable[int] = ()) -> "IntRegion":
         lmax = max(left_rays, default=None)
         rmin = min(right_rays, default=None)
         pts = {

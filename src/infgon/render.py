@@ -7,8 +7,7 @@ radii in whole pixels since arc spans are whole units).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import infgon
 
@@ -25,8 +24,7 @@ SCALE = 20
 PAD = 30
 
 
-@dataclass(frozen=True)
-class RenderResult:
+class RenderResult(NamedTuple):
     payload: bytes
     warnings: tuple[str, ...] = ()
 

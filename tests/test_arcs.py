@@ -45,10 +45,15 @@ def test_normalize():
 
 
 def test_model_params_validation():
+    for bad in ({"n": 0}, {"n": -3}, {"n": True}, {"n": 2.0}):
+        with pytest.raises(ValueError):
+            ModelParams(**bad)
     with pytest.raises(ValueError):
         ModelParams(0)
-    with pytest.raises(ValueError):
-        ModelParams(-3)
+    p = ModelParams(n=3)
+    assert repr(p) == "ModelParams(n=3)" and p == P3 and hash(p) == hash(P3)
+    with pytest.raises(AttributeError):
+        p.n = 4
 
 
 @pytest.mark.parametrize(

@@ -59,12 +59,49 @@ def test_window_validation():
     for lo, hi in [(3, 3), (0.5, 3.5), (-20.5, 20), (-20, 20.0), (False, 5), (0, True), ("0", 5)]:
         with pytest.raises(ValueError):
             Window(lo, hi)
+        with pytest.raises(ValueError):
+            Window(lo=lo, hi=hi)
     assert Window(-2, 5).shrink(2) == Window(0, 3)
+    w = Window(lo=0, hi=5)
+    assert repr(w) == "Window(lo=0, hi=5)" and (w.lo, w.hi) == (0, 5)
+    with pytest.raises(AttributeError):
+        w.hi = 9
 
 
 def test_arcset_validates_explicit():
     with pytest.raises(NonAdmissible):
         ArcSet.of(P3, [Arc(3, 6)])
+    with pytest.raises(NonAdmissible):
+        ArcSet(params=P3, explicit=frozenset({Arc(3, 6)}))
+    s = ArcSet(P3, [Arc(0, 4)], [RightFan(2, 9)])
+    assert s == ArcSet.of(P3, [Arc(0, 4)], [RightFan(2, 9)]) and hash(s) == hash(ArcSet.of(
+        P3, [Arc(0, 4)], [RightFan(2, 9)]))
+    assert (type(s.explicit), type(s.families)) == (frozenset, tuple)
+    assert repr(s) == ("ArcSet(params=ModelParams(n=3), explicit=frozenset({(0,4)}), "
+                       "families=(RightFan(p=2, u_min=9),))")
+    with pytest.raises(AttributeError):
+        s.explicit = frozenset()
+
+
+@pytest.mark.parametrize("make,item", [
+    (lambda: ArcSet.of(P3, [(0, 4)]), "(0, 4)"),
+    (lambda: ArcSet(P3, [Arc(0, 4), [1, 5]]), "[1, 5]"),
+    (lambda: ArcSet.of(P3, [Arc(0, 4)], [(1, 2)]), "(1, 2)"),
+    (lambda: ArcSet(P3, families=[RightFan(2, 9), "band"]), "'band'"),
+    (lambda: DividerSet.of(P3, [(0, 4)]), "(0, 4)"),
+    (lambda: DividerSet(P3, [Arc(0, 4), (1, 5)]), "(1, 5)"),
+], ids=["set-tuple", "set-list", "family-tuple", "family-str", "dividers-tuple",
+        "dividers-list"])
+def test_constructors_name_an_item_that_is_not_an_arc_or_a_family(make, item):
+    with pytest.raises(TypeError) as exc:
+        make()
+    assert item in str(exc.value)
+
+
+def test_divider_set_freezes_its_arcs():
+    d = DividerSet(P3, [Arc(-4, 6), Arc(-4, 3)])
+    assert d.arcs == frozenset({Arc(-4, 6), Arc(-4, 3)}) and hash(d) == hash(
+        DividerSet.of(P3, {Arc(-4, 3), Arc(-4, 6)}))
 
 
 def test_admissible_arcs_in_window():

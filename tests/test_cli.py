@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -6,7 +8,7 @@ import pytest
 
 from infgon.arcsets import Window
 from infgon import arcsets, oracles
-from infgon.cli import COMMANDS, MAX_WINDOW_WIDTH, _parse_window, main
+from infgon.cli import COMMANDS, MAX_WINDOW_WIDTH, _parse_window, build_parser, main
 from infgon.documents import REPORT_SCHEMA
 
 EXAMPLE = str(Path(__file__).resolve().parent.parent / "demos" / "example_sets.json")
@@ -261,6 +263,49 @@ def test_usage_and_input_errors(capsys, tmp_path):
     assert code == 2 and "JSON" in err
     code, _, err = run(capsys, "cross", "--arcs", "nonsense")
     assert code == 2
+
+
+def parse(parser, argv: list[str]) -> tuple[object, str, str]:
+    """``parser.parse_args(argv)``: the namespace or the exit code, and what
+    it printed to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = parser.parse_args(argv)
+        except SystemExit as exc:
+            got = exc.code
+    return got, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_one_command_parser_matches_the_full_parser(name):
+    """``main`` builds only the parser of the command it runs; its help, its
+    usage errors and what it parses are the full parser's."""
+    assert len(COMMANDS) == 12
+    stray = [name, "--arcs", "(0,4) (1,5)", "--input", EXAMPLE, "--set", "X", "--x", "X",
+             "--y", "Y", "--d", "D", "--window=-5..5", "--degree", "1", "stray"]
+    for argv in ([name, "--help"], [name], [name, "--n", "x"], [name, "--bogus", "1"], stray):
+        assert parse(build_parser(name), argv) == parse(build_parser(), argv)
+    code, help_text, _ = parse(build_parser(name), [name, "--help"])
+    assert code == 0 and help_text.startswith(f"usage: infgon {name} [-h]")
+    assert parse(build_parser(name), stray)[0] == 2
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["--help"], 0, ""),
+    ([], 2, "error: the following arguments are required: command"),
+    (["bogus"], 2, "error: argument command: invalid choice: 'bogus'"),
+    (["bogus", "--help"], 2, "error: argument command: invalid choice: 'bogus'"),
+])
+def test_help_and_a_missing_or_unknown_command_use_the_full_parser(capsys, argv, code, err):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == code
+    assert (exc.value.code, out.out, out.err) == parse(build_parser(), argv)
+    assert err in out.err
+    usage = out.out if code == 0 else out.err
+    assert "{" + ",".join(COMMANDS) + "}" in usage
 
 
 def test_n_override(capsys, tmp_path):

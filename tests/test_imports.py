@@ -5,6 +5,7 @@ its public names on first use.  Module loads are read in a fresh
 interpreter, since this process has imported every layer already.
 """
 
+import dataclasses
 import importlib
 import json
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import infgon
-from infgon import cotorsion
+from infgon import cotorsion, families
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE = str(ROOT / "demos" / "example_sets.json")
@@ -30,22 +31,25 @@ def child_env() -> dict[str, str]:
 
 def loaded_after(code: str) -> tuple[list, set[str]]:
     """Run ``code`` in a fresh interpreter with stdout captured; return the
-    value it assigns to ``RESULT`` and the ``infgon`` modules then loaded
-    (``infgon`` itself, the others without the ``infgon.`` prefix)."""
+    value it assigns to ``RESULT`` and every module then loaded."""
     probe = "\n".join([
         "import contextlib, io, json, sys",
         "RESULT = None",
         "with contextlib.redirect_stdout(io.StringIO()):",
         *(f"    {line}" for line in code.splitlines()),
-        "mods = [m.removeprefix('infgon.') for m in sys.modules",
-        "        if m == 'infgon' or m.startswith('infgon.')]",
-        "print(json.dumps([RESULT, mods]))",
+        "print(json.dumps([RESULT, list(sys.modules)]))",
     ])
     proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result, mods = json.loads(proc.stdout.splitlines()[-1])
     return result, set(mods)
+
+
+def layers(mods: set[str]) -> set[str]:
+    """The ``infgon`` modules among ``mods``: ``infgon`` itself, the others
+    without the ``infgon.`` prefix."""
+    return {m.removeprefix("infgon.") for m in mods if m == "infgon" or m.startswith("infgon.")}
 
 
 # --- what each README command loads -----------------------------------------
@@ -70,7 +74,7 @@ README = {
 
 def run_command(argv: list[str], out_dir: Path) -> tuple[int, set[str]]:
     """``cli.main(argv)`` in a fresh interpreter, writing any file to
-    ``out_dir``: its exit code and the ``infgon`` modules it loaded."""
+    ``out_dir``: its exit code and the modules it loaded."""
     argv = [a.format(out=out_dir / "figure.svg") for a in argv]
     return loaded_after(f"from infgon import cli\nRESULT = cli.main({argv!r})")
 
@@ -78,18 +82,40 @@ def run_command(argv: list[str], out_dir: Path) -> tuple[int, set[str]]:
 @pytest.mark.parametrize("argv,exit_code,needs,never", README.values(), ids=README)
 def test_readme_command_loads_only_its_layers(tmp_path, argv, exit_code, needs, never):
     got, mods = run_command(argv, tmp_path)
+    mods = layers(mods)
     assert got == exit_code
     assert needs <= mods
     assert not mods & never, f"{argv[0]} loaded {sorted(mods & never)}"
 
 
 def test_importing_the_cli_loads_the_parser_and_render_only():
-    _, mods = loaded_after("import infgon.cli")
+    mods = layers(loaded_after("import infgon.cli")[1])
     assert mods == {"infgon", "arcs", "cli", "errors", "render"}, (
         "perfbench/layertrace.py's Tracer.install imports infgon.cli and then reads "
         "sys.modules['infgon.render'], so render must load with infgon.cli; the other "
         f"layers load with the commands that run them, but got {sorted(mods)}"
     )
+
+
+# The records are NamedTuples except the family kinds, which ``perfbench/workloads.py``
+# and the tests read with ``dataclasses.fields``, ``DividerSet`` and ``FuzzReport``:
+# so the parser and ``ext``, which load none of those, never import ``dataclasses``
+# and what it imports (``inspect``, ``ast``, ...), nor run the code it generates.
+@pytest.mark.parametrize("code", [
+    "import infgon.cli",
+    f"from infgon import cli\nRESULT = cli.main({README['ext'][0]!r})",
+], ids=["import infgon.cli", "ext"])
+def test_the_parser_and_ext_do_not_load_dataclasses(code):
+    got, mods = loaded_after(code)
+    assert got in (None, 0)
+    assert "dataclasses" not in mods
+
+
+def test_family_kinds_stay_dataclasses():
+    kinds = [families.LeftFan, families.RightFan, families.Band, families.HalfLeft,
+             families.HalfRight]
+    assert all(dataclasses.is_dataclass(k) for k in kinds)
+    assert [f.name for f in dataclasses.fields(families.RightFan)] == ["p", "u_min"]
 
 
 # --- the lazy package surface ------------------------------------------------
@@ -142,10 +168,10 @@ def test_unknown_name_raises_attribute_error():
 
 def test_bare_import_loads_no_layer_and_submodules_still_import_by_name():
     got, mods = loaded_after("import infgon\nRESULT = hasattr(infgon, 'cellwalk')")
-    assert (got, mods) == (False, {"infgon"})
+    assert (got, layers(mods)) == (False, {"infgon"})
     got, mods = loaded_after("from infgon import cellwalk\nRESULT = cellwalk.__name__")
     assert got == "infgon.cellwalk"
-    assert mods == {"infgon", "arcs", "cellwalk", "errors"}
+    assert layers(mods) == {"infgon", "arcs", "cellwalk", "errors"}
 
 
 def test_resolved_names_are_not_cached(monkeypatch):
@@ -167,12 +193,16 @@ def test_resolved_names_are_not_cached(monkeypatch):
 if __name__ == "__main__":
     # A Markdown summary: the modules each README command loads, and the
     # cumulative ``-X importtime`` of ``infgon.cli``.
+    def row(name: str, mods: set[str]) -> str:
+        dc = "yes" if "dataclasses" in mods else "no"
+        return f"| {name} | {' '.join(sorted(layers(mods)))} | {dc} |"
+
     print("Modules each README command loads (fresh interpreter)\n")
-    print("| command | `infgon.*` modules |\n|---|---|")
-    print(f"| import infgon.cli | {' '.join(sorted(loaded_after('import infgon.cli')[1]))} |")
+    print("| command | `infgon.*` modules | `dataclasses` |\n|---|---|---|")
+    print(row("import infgon.cli", loaded_after("import infgon.cli")[1]))
     with tempfile.TemporaryDirectory() as tmp:
         for name, (argv, *_) in README.items():
-            print(f"| {name} | {' '.join(sorted(run_command(argv, Path(tmp))[1]))} |")
+            print(row(name, run_command(argv, Path(tmp))[1]))
     err = subprocess.run([sys.executable, "-X", "importtime", "-c", "import infgon.cli"],
                          cwd=ROOT, env=child_env(), capture_output=True, text=True,
                          check=True).stderr
