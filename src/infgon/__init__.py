@@ -11,7 +11,8 @@ brute-force oracle in :mod:`infgon.oracles`.
 The names in ``__all__`` resolve on first use (PEP 562): ``infgon.check_pair``
 imports :mod:`infgon.cotorsion` then, so a bare ``import infgon`` loads no
 layer.  A resolved name is not stored here; each read returns the home
-module's current binding.
+module's current binding.  ``_EXPORTS`` is the one list of these names;
+each home module but :mod:`infgon.errors` starts its ``__all__`` from its row.
 """
 
 from importlib import import_module

@@ -12,19 +12,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .errors import DegeneratePair, NonAdmissible
 
-__all__ = [
-    "Arc",
-    "ModelParams",
-    "component",
-    "cross",
-    "is_admissible",
-    "normalize",
-    "serre",
-    "shift",
-    "tau",
-]
+__all__ = [*_EXPORTS["arcs"], "require_admissible"]
 
 
 class _ModelParamsBase(NamedTuple):

@@ -50,34 +50,14 @@ from heapq import heappop, heappush
 from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple
 
+from . import _EXPORTS
 from .arcs import Arc, ModelParams, cross, is_admissible, require_admissible
 from .errors import NonAffinePiece, UnsupportedFamilies
 from .families import Family, _first_from, family_scalars
 from .regions import IntRegion
 
-__all__ = [
-    "ArcSet",
-    "FinitenessReport",
-    "PtolemyReport",
-    "Runs",
-    "Window",
-    "admissible_arcs_in",
-    "contains",
-    "crosses_set",
-    "double_nc_extras",
-    "features",
-    "finiteness_check",
-    "fountain_loci",
-    "frame",
-    "in_nc_nc",
-    "is_ptolemy_window",
-    "member_runs",
-    "members_in_window",
-    "nc_runs",
-    "nc_window",
-    "runs_of",
-    "runs_symmetric_difference",
-]
+__all__ = [*_EXPORTS["arcsets"],
+           "Runs", "features", "member_runs", "nc_runs", "runs_of", "runs_symmetric_difference"]
 
 
 class _WindowBase(NamedTuple):
@@ -102,7 +82,9 @@ class Window(_WindowBase):
 
 
 def _checked_arcs(arcs: Iterable[Arc], p: ModelParams) -> frozenset[Arc]:
-    """``arcs`` as a frozenset, once each is known to be an admissible Arc."""
+    """``arcs`` as a frozenset, once ``p`` is a ModelParams and each arc an admissible Arc."""
+    if not isinstance(p, ModelParams):
+        raise TypeError(f"expected ModelParams, got {p!r}")
     items = arcs if isinstance(arcs, frozenset) else list(arcs)
     for a in items:
         if not isinstance(a, Arc):

@@ -18,18 +18,12 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
+from . import _EXPORTS
 from .arcs import Arc, ModelParams, cross, require_admissible
 from .arcsets import ArcSet, Window, _Pieces, features, finiteness_check
 from .errors import WindowTooSmall
 
-__all__ = [
-    "Condition",
-    "PairReport",
-    "RigidityReport",
-    "check_pair",
-    "core",
-    "rigidity_check",
-]
+__all__ = [*_EXPORTS["cotorsion"]]
 
 
 class Condition(NamedTuple):

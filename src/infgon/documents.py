@@ -22,18 +22,13 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .arcs import Arc, ModelParams, is_admissible
 from .arcsets import ArcSet
 from .errors import ParseError, ValidationError
 from .families import family_from_json, family_to_json
 
-__all__ = [
-    "Document",
-    "REPORT_SCHEMA",
-    "arcset_to_json",
-    "parse_document",
-    "serialize_document",
-]
+__all__ = [*_EXPORTS["documents"], "REPORT_SCHEMA", "arcset_to_json"]
 
 
 class Document(NamedTuple):

@@ -41,23 +41,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Iterator, Union, get_args
 
+from . import _EXPORTS
 from .arcs import Arc, ModelParams
 from .errors import ValidationError
 from .regions import IntRegion
 
-__all__ = [
-    "Band",
-    "Family",
-    "HalfLeft",
-    "HalfRight",
-    "LeftFan",
-    "RightFan",
-    "family_from_json",
-    "family_scalars",
-    "family_to_json",
-]
+__all__ = [*_EXPORTS["families"], "family_from_json", "family_scalars", "family_to_json"]
 
 # closed head intervals (a, b) for one foot; b is None for [a, inf)
 Heads = tuple[tuple[int, int | None], ...]
@@ -246,7 +237,7 @@ class HalfRight(_Boxed):
 
 Family = Union[LeftFan, RightFan, Band, HalfLeft, HalfRight]
 
-_KINDS = {cls.kind: cls for cls in (LeftFan, RightFan, Band, HalfLeft, HalfRight)}
+_KINDS = {cls.kind: cls for cls in get_args(Family)}
 _FIELDS = {kind: tuple(f.name for f in fields(cls)) for kind, cls in _KINDS.items()}
 
 

@@ -26,19 +26,11 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .arcs import Arc, ModelParams, is_admissible, require_admissible, shift
 from .errors import InvalidDegree, NoExtension
 
-__all__ = [
-    "ExtCase",
-    "ExtKind",
-    "ExtTriangle",
-    "ext1_case",
-    "ext_dim",
-    "ext_profile",
-    "ext_triangle",
-    "hom_dim",
-]
+__all__ = [*_EXPORTS["homs"]]
 
 
 class ExtKind(enum.Enum):

@@ -40,6 +40,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
+from . import _EXPORTS
 from .arcs import Arc, ModelParams, cross
 from .arcsets import ArcSet, Window, _checked_arcs, _make, contains, crosses_set
 from .cotorsion import PairReport, check_pair
@@ -58,17 +59,7 @@ from .errors import (
 from .families import Family, LeftFan, RightFan, _first_from, family_scalars
 from .homs import ExtTriangle, ext_triangle
 
-__all__ = [
-    "DividerSet",
-    "RotationResult",
-    "mutate_pair",
-    "mutation_via_triangle",
-    "predecessor",
-    "rotate_arc",
-    "rotate_arc_inverse",
-    "rotate_set",
-    "successor",
-]
+__all__ = [*_EXPORTS["mutation"]]
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ __all__ = [
     "members_in_window_brute",
     "nc_window_brute",
     "random_divider_case",
+    "random_family_rotation_case",
     "random_finite_arcs",
     "rotation_mismatches",
     "run_mutation_fuzz",

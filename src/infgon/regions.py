@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-__all__ = ["IntRegion"]
+from . import _EXPORTS
+
+__all__ = [*_EXPORTS["regions"]]
 
 
 class IntRegion(NamedTuple):

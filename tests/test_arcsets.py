@@ -90,8 +90,14 @@ def test_arcset_validates_explicit():
     (lambda: ArcSet(P3, families=[RightFan(2, 9), "band"]), "'band'"),
     (lambda: DividerSet.of(P3, [(0, 4)]), "(0, 4)"),
     (lambda: DividerSet(P3, [Arc(0, 4), (1, 5)]), "(1, 5)"),
+    # a modulus equal to ModelParams(3) as a tuple is still not a ModelParams
+    (lambda: ArcSet(3), "ModelParams, got 3"),
+    (lambda: ArcSet(3, [Arc(0, 4)]), "ModelParams, got 3"),
+    (lambda: ArcSet.of((3,), [Arc(0, 4)]), "ModelParams, got (3,)"),
+    (lambda: DividerSet.of(3, [Arc(0, 4)]), "ModelParams, got 3"),
 ], ids=["set-tuple", "set-list", "family-tuple", "family-str", "dividers-tuple",
-        "dividers-list"])
+        "dividers-list", "modulus-int", "modulus-int-arcs", "modulus-tuple",
+        "dividers-modulus-int"])
 def test_constructors_name_an_item_that_is_not_an_arc_or_a_family(make, item):
     with pytest.raises(TypeError) as exc:
         make()

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -81,6 +82,25 @@ def test_ptolemy_command_exit_codes(capsys, tmp_path):
     )
     assert code == 1 and report["verdict"] is False
     assert [-4, 3] in report["witnesses"]
+
+
+@pytest.mark.parametrize("no_color,pass_word,fail_word", [
+    (None, "\x1b[32mPASS\x1b[0m", "\x1b[31mFAIL\x1b[0m"),
+    ("1", "PASS", "FAIL"),
+], ids=["tty", "tty-no-color"])
+def test_verdicts_are_colored_on_a_tty_unless_no_color(capsys, monkeypatch, no_color, pass_word,
+                                                       fail_word):
+    if no_color is None:
+        monkeypatch.delenv("NO_COLOR", raising=False)
+    else:
+        monkeypatch.setenv("NO_COLOR", no_color)
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    code, out, _ = run(
+        capsys, "check-pair", "--input", EXAMPLE, "--x", "X", "--y", "Y", "--window", "-20..20"
+    )
+    assert code == 1
+    assert f"{pass_word}: right-fountains of X inside" in out
+    assert f"{fail_word}: (X, Y) window-certified pair" in out
 
 
 def test_check_pair_exit_codes(capsys):
@@ -263,6 +283,10 @@ def test_usage_and_input_errors(capsys, tmp_path):
     assert code == 2 and "JSON" in err
     code, _, err = run(capsys, "cross", "--arcs", "nonsense")
     assert code == 2
+    code, _, err = run(capsys, "ext", "--n", "3", "--arcs", "(2,9)", "--degree", "1")
+    assert code == 2 and "expected 2 arcs, got 1" in err
+    code, _, err = run(capsys, "cross", "--arcs", "(0,4) (1,5) (2,6)")
+    assert code == 2 and "expected 2 arcs, got 3" in err
 
 
 def parse(parser, argv: list[str]) -> tuple[object, str, str]:

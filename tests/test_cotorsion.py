@@ -102,6 +102,11 @@ def test_core_examples():
     assert core(X, X, W) == sorted(X.explicit)
 
 
+def test_core_of_sets_on_two_moduli_raises():
+    with pytest.raises(ValueError, match="modulus"):
+        core(X, ArcSet.of(ModelParams(2)), W)
+
+
 def test_core_equals_frame_for_passing_pair():
     assert core(X, Y_CLOSURE, W) == frame(X, W)
     assert rigidity_check(core(X, Y_CLOSURE, W), P3).ok

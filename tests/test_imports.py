@@ -7,8 +7,10 @@ interpreter, since this process has imported every layer already.
 
 import dataclasses
 import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -188,6 +190,24 @@ def test_resolved_names_are_not_cached(monkeypatch):
     monkeypatch.undo()
     assert infgon.check_pair is original
     assert "check_pair" not in vars(infgon)
+
+
+# --- each module's own ``__all__`` ---------------------------------------------
+
+# ``__main__`` is left out: importing it runs the CLI
+WITH_ALL = [m for m in (importlib.import_module(f"infgon.{i.name}")
+                        for i in pkgutil.iter_modules(infgon.__path__) if i.name != "__main__")
+            if hasattr(m, "__all__")]
+
+
+@pytest.mark.parametrize("mod", [infgon, *WITH_ALL], ids=lambda m: m.__name__)
+def test_all_lists_every_public_definition_and_only_names_that_resolve(mod):
+    defined = {name for name, obj in vars(mod).items() if not name.startswith("_")
+               and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == mod.__name__}
+    missing = defined - set(mod.__all__)
+    assert not missing, f"{mod.__name__}.__all__ omits {sorted(missing)}"
+    assert all(hasattr(mod, name) for name in mod.__all__)
 
 
 if __name__ == "__main__":
