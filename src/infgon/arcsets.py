@@ -34,10 +34,17 @@ run counts raise ``NonAffinePiece``, never a truncated row.
 
 A closure thus costs O(anchors * n * (m + f)) on any window, plus its
 output: :func:`member_runs`, :func:`nc_runs` and the listings expand every
-piece that has sample runs, ``check_pair`` only those whose samples differ,
-and ``core`` and :func:`frame` the meet of the samples.  The double closure
-sweeps one bounded listing of ``nc s`` (:func:`double_nc_extras`).  Testing
-every candidate arc costs O(W^2 / n * (m + f)) on a window of width W;
+piece that has sample runs.  Two closures on one plan (anchored on both
+sets' features) are combined on the samples: ``core`` and :func:`frame`
+expand the meet of their rows, ``check_pair`` and :func:`double_nc_extras`
+the XOR of the rows that differ, so a passing verdict expands nothing.
+This is exact: on a far stretch each end of either side is, per residue, a
+constant anchor or ``t + c``, and a constant ``a`` meets the first head only
+at ``t = a - n - 1``, the stretch's last foot, past its samples.  So no two
+ends change order on the samples, the meet's and the XOR's ends are
+constants or ``t + c`` too, and the same recurrence continues them.  The
+double closure sweeps one bounded listing of ``nc s``.  Testing every
+candidate arc costs O(W^2 / n * (m + f)) on a window of width W;
 those candidate-filter versions are kept, frozen, as the brute-force
 references ``nc_window_brute`` and ``members_in_window_brute`` in
 :mod:`infgon.oracles`.
@@ -57,7 +64,7 @@ from .families import Family, _first_from, family_scalars
 from .regions import IntRegion
 
 __all__ = [*_EXPORTS["arcsets"],
-           "Runs", "features", "member_runs", "nc_runs", "runs_of", "runs_symmetric_difference"]
+           "Runs", "features", "member_runs", "nc_runs", "runs_of"]
 
 
 class _WindowBase(NamedTuple):
@@ -330,18 +337,19 @@ class _Pieces(NamedTuple):
 
     def difference(self, lhs: Runs, rhs: Runs) -> list[Arc]:
         """The arcs in exactly one of two closures given by their rows,
-        sorted.  Only the pieces whose rows differ are expanded."""
+        sorted.  The rows are XORed on the feet where they differ and only
+        that XOR is expanded: on a far stretch the ends of both sides keep
+        their order, so the XOR's ends are constants or ``t + c`` as theirs
+        are (module docstring)."""
         if lhs == rhs:
             return []
-        n, out = self.n, []
-        for p in self.spans:
-            if any(lhs.get(t) != rhs.get(t) for t in range(p[0], p[1])):
-                pair = _piece_runs(lhs, *p, n), _piece_runs(rhs, *p, n)
-                out += runs_symmetric_difference(*pair, n)
-        return out
+        feet = sorted(t for t in lhs.keys() | rhs.keys() if lhs.get(t) != rhs.get(t))
+        rows = {t: _xor(lhs.get(t, []), rhs.get(t, [])) for t in feet}
+        return _arcs(self.expand(rows).items(), self.n)
 
     def meet(self, lhs: Runs, rhs: Runs) -> list[Arc]:
-        """The arcs in both closures given by their rows, sorted."""
+        """The arcs in both closures given by their rows, sorted; the meet
+        of the rows expands for the same reason as the XOR in ``difference``."""
         rows = {t: m for t, r in lhs.items() if t in rhs and (m := _meet(r, rhs[t]))}
         return _arcs(self.expand(rows).items(), self.n)
 
@@ -385,15 +393,6 @@ def _meet(p: list[tuple[int, int]], q: list[tuple[int, int]]) -> list[tuple[int,
             out.append((a, b))
         i, j = (i + 1, j) if p[i][1] < q[j][1] else (i, j + 1)
     return out
-
-
-def runs_symmetric_difference(lhs: Runs, rhs: Runs, n: int) -> list[Arc]:
-    """The arcs in exactly one of two run maps, sorted.  Arcs are built only
-    on the feet whose runs differ."""
-    if lhs == rhs:
-        return []
-    feet = sorted(t for t in lhs.keys() | rhs.keys() if lhs.get(t) != rhs.get(t))
-    return _arcs(((t, _xor(lhs.get(t, []), rhs.get(t, []))) for t in feet), n)
 
 
 def members_in_window(s: ArcSet, w: Window) -> list[Arc]:
@@ -491,7 +490,8 @@ def double_nc_extras(s: ArcSet, w: Window) -> list[Arc]:
                                             _first_from(hi, t + 1, n))]))
             for t, r in nc_runs(s, bound).items() if t < hi)  # an end inside w
     nc = ArcSet(s.params, frozenset(_arcs(rows, n)))
-    return runs_symmetric_difference(nc_runs(nc, w), member_runs(s, w), n)
+    plan = _Pieces.of(w, nc, s)
+    return plan.difference(plan.closure(nc), plan.members(s))
 
 
 def in_nc_nc(a: Arc, s: ArcSet) -> bool:

@@ -21,8 +21,9 @@ from infgon import (
     frame,
     rotate_set,
 )
-from infgon.arcsets import (_member_rows, _nc_rows, _piece_runs, _Pieces, features, member_runs,
-                            nc_runs)
+from infgon import arcsets
+from infgon.arcsets import (_member_rows, _nc_rows, _piece_runs, _Pieces, _xor, features,
+                            member_runs, nc_runs, runs_of)
 from infgon.errors import NonAffinePiece
 from infgon.families import Band, HalfLeft, HalfRight, LeftFan, RightFan
 from infgon.oracles import random_finite_arcs
@@ -136,6 +137,42 @@ def test_verdict_and_core_cost_no_more_on_a_wider_window(monkeypatch):
     assert results[0][2] > 0
 
 
+def test_failing_verdict_costs_no_more_on_a_wider_window(monkeypatch):
+    """A failing verdict XORs the rows only on the sample feet, and a
+    self-pair runs each kernel once."""
+    xors = 0
+
+    def counted_xor(p, q):
+        nonlocal xors
+        xors += 1
+        return xor(p, q)
+
+    xor = arcsets._xor
+    monkeypatch.setattr(arcsets, "_xor", counted_xor)
+    x, y = demo().sets["X"], demo().sets["Y"]
+    kernel = KernelCalls(monkeypatch)
+    counts = []
+    for half in (100, 100_000):
+        xors = 0
+        rep, calls = kernel.run(check_pair, x, y, Window(-half, half))
+        assert not rep.verdict
+        counts.append((xors, calls))
+    assert counts[0] == counts[1]
+    assert counts[0][0] > 0 and counts[0][1] > 0
+
+    rows = {"_member_rows": 0, "_nc_rows": 0}
+    for name in rows:
+        def once(*args, name=name, kernel=getattr(arcsets, name)):
+            rows[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(arcsets, name, once)
+    s = demo().sets["Ync"]
+    check_pair(s, s, Window(-20, 20))
+    assert rows == {"_member_rows": 1, "_nc_rows": 1}
+    core(s, s, Window(-20, 20))
+    assert rows == {"_member_rows": 2, "_nc_rows": 1}
+
+
 def test_far_fans_give_the_same_pieces_at_any_distance():
     p = ModelParams(3)
 
@@ -156,6 +193,23 @@ def test_family_feet_cover_every_foot_with_a_member():
             assert set(carrying) <= set(feet), (fam, n)
             if isinstance(fam, LeftFan):
                 assert list(feet) == carrying, (fam, n)
+
+
+intervals = st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)).map(sorted), max_size=4)
+
+
+@given(n=st.integers(1, 4), p=intervals, q=intervals)
+def test_xor_gives_the_heads_in_exactly_one_as_runs(n, p, q):
+    """The rows a failing verdict expands are runs, each with first < stop."""
+    def foot(heads):
+        return runs_of({0: list(map(tuple, heads))}, Window(0, 40), n).get(0, [])
+
+    def listed(runs):
+        return {u for a, b in runs for u in range(a, b, n)}
+
+    got = _xor(foot(p), foot(q))
+    assert all(a < b for a, b in got)
+    assert listed(got) == listed(foot(p)) ^ listed(foot(q))
 
 
 @pytest.mark.parametrize("rows", [
