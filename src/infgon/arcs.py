@@ -39,11 +39,14 @@ class _ArcBase(NamedTuple):
 
 
 class Arc(_ArcBase):
-    """Ordered integer pair ``t < u``; use :func:`normalize` for unordered input."""
+    """Ordered pair of ``int`` endpoints ``t < u`` (a ``bool`` is refused); use
+    :func:`normalize` for unordered input."""
 
     __slots__ = ()
 
     def __new__(cls, t: int, u: int) -> "Arc":
+        if type(t) is not int or type(u) is not int:  # bool included
+            raise ValueError(f"arc endpoints must be integers, got ({t!r}, {u!r})")
         if t < u:
             return tuple.__new__(cls, (t, u))
         if t == u:

@@ -10,31 +10,37 @@ are the admissible ``(t, u)`` with foot in ``[t0, t1]`` and head in
 * ``HalfLeft(p)``         -- ``(None, p, None, p)``: both endpoints ``<= p``;
 * ``HalfRight(q)``        -- ``(q, None, q, None)``: both endpoints ``>= q``.
 
-:class:`_Boxed` derives the rest of membership once from the box.
-``is_member`` tests it, so the brute-force references in
-:mod:`infgon.oracles` read nothing per foot.  ``member_heads(t, n)`` gives
-the heads of the members ``(t, u)`` as closed intervals ``(a, b)``, with
-``b = None`` for ``[a, inf)``.  It ignores admissibility, which the caller
-imposes by stepping through the heads ``u = t + 1 (mod n)`` from
-``t + n + 1`` on, except that a single head ``u0 = u1`` has members only on
-the feet ``t = u1 - 1 (mod n)``.  ``feet_in(lo, hi, n)`` is the range of
-feet in ``[lo, hi]`` that can carry a member, stepping by n for a single
-head.  A box whose feet reach ``-inf`` has a left fountain at each of its
-heads (``left_locus``), and one whose heads reach ``+inf`` a right fountain
-at each of its feet (``right_locus``).
+The kinds hold only data (fields, ``kind``, ``box_fields``); :class:`_Boxed`
+reads every predicate off the box.  ``is_member`` tests membership.
+``member_heads(t, n)`` gives the member heads on foot t as closed intervals
+``(a, b)``, ``b = None`` for ``[a, inf)``; the caller imposes admissibility
+by stepping through ``u = t + 1 (mod n)``, and a single head ``u0 = u1`` has
+members only on the feet ``t = u1 - 1 (mod n)``.  ``feet_in(lo, hi, n)`` is
+the range of feet in ``[lo, hi]`` that carry a member.  Feet reaching
+``-inf`` put a left fountain at each head (``left_locus``), heads reaching
+``+inf`` a right fountain at each foot (``right_locus``).
 
-``crossed_heads(t, n)``, the heads of the arcs ``(t, u)`` that some member
-crosses, stays with each kind.  It is the one derivation with residue
-cases: which member crosses first depends on the side of the box the foot
-lies on and on residues mod n, so one rule over the box would be longer
-than the five it replaces.  ``crossed_by`` and ``members_in`` wrap the
-per-foot methods; ``_Boxed.__init_subclass__`` binds them in each kind's
-own class.  The closure sweeps in :mod:`infgon.arcsets` read the per-foot
-methods directly.
-:func:`_first_from` is the package's one residue rule, shared by the sweeps
-and the family rotation in :mod:`infgon.mutation`, which splits a family by
-its box too.  Every predicate is pinned against brute enumeration in the
-test suite.
+``crossed_heads(t, n)`` gives, in the same form, the heads of the arcs
+``(t, u)`` that some member crosses.  A member crosses in one of two ways:
+
+* its foot lies in ``(t, u)``.  Take x, the least member foot past t:
+  ``max(t + 1, t0)``, stepped onto the residue ``u1 - 1`` for a single head.
+  If ``x <= t1``, the member ``(x, v)`` with v as far right as the box allows
+  gives the heads ``x + 1 .. u1 - 1`` (all from ``x + 1`` if ``u1`` is None);
+* its head lies in ``(t, u)``, which needs ``t0 < t < u1``.  Take y, the
+  least member head past t: ``max(t + 1, u0)``, stepped onto the residue
+  ``t0 + 1`` for a single foot.  The member ``(w, y)`` with w as far left as
+  the box allows gives every head from ``y + 1`` on.
+
+This is exact where the far endpoint may take any residue.  Two boxes bound
+it without fixing it, and each over-reports only heads the other case gives
+anyway: ``HalfLeft``'s first case (its second gives all heads from ``t + 2``)
+and ``HalfRight``'s second for ``q <= t < q + n`` (its first does).  An
+interval may be empty (``a > b``, e.g. a ``LeftFan`` at ``t >= p - 1``):
+``crossed_by`` tests ``a <= u <= b``, and the sweep in :mod:`infgon.arcsets`
+at most splits a run there, which ``_add_run`` merges back.
+:func:`_first_from` is the package's one residue rule.  Every predicate is
+pinned against brute enumeration in the test suite.
 """
 
 from __future__ import annotations
@@ -89,12 +95,10 @@ def _region(lo: int | None, hi: int | None) -> IntRegion:
 
 
 class _Boxed:
-    """Membership, member heads, member feet and fountain loci, read off
-    each kind's ``box``.  A box is a ``cached_property``: not a dataclass
-    field, so equality, hashing, ``repr`` and the JSON never see it, and
-    built once per instance, so the derived methods on the closure sweeps'
-    hot path cost what the hand-written ones did.  Each kind declares its box
-    as ``box_fields``, the field bounding each side (``None`` unbounded)."""
+    """Every family predicate, read off the kind's ``box``: a
+    ``cached_property``, so equality, hashing, ``repr`` and the JSON never
+    see it, built once per instance.  Each kind declares ``box_fields``, the
+    field bounding each side (``None`` unbounded)."""
 
     box_fields: tuple[str | None, str | None, str | None, str | None]
 
@@ -103,6 +107,11 @@ class _Boxed:
         # bound in each kind's own class, where the traced wrappers find them
         cls.crossed_by = _crossed_by
         cls.members_in = _members_in
+
+    def __post_init__(self) -> None:
+        for name in _FIELDS[self.kind]:
+            if type(v := getattr(self, name)) is not int:  # bool included
+                raise ValueError(f"{name}: expected an integer, got {v!r}")
 
     @cached_property
     def box(self) -> Box:
@@ -122,6 +131,23 @@ class _Boxed:
         if u1 is not None and (u > u1 or (u0 == u1 and (u1 - 1 - t) % n)):
             return ()
         return ((u, u1),)
+
+    def crossed_heads(self, t: int, n: int) -> Heads:
+        t0, t1, u0, u1 = self.box
+        out: Heads = ()
+        # a member (x, v) with t < x < u < v: x is the least member foot past t
+        x = t + 1 if t0 is None or t0 <= t else t0
+        if u0 == u1:
+            x = _first_from(x, u1 - 1, n)
+        if t1 is None or x <= t1:
+            out = ((x + 1, None if u1 is None else u1 - 1),)
+        # a member (w, y) with w < t < y < u: y is the least member head past t
+        if (t0 is None or t0 < t) and (u1 is None or t < u1):
+            y = t + 1 if u0 is None or u0 <= t else u0
+            if t0 == t1:
+                y = _first_from(y, t0 + 1, n)
+            out += ((y + 1, None),)
+        return out
 
     def feet_in(self, lo: int, hi: int, n: int) -> range:
         t0, t1, u0, u1 = self.box
@@ -153,17 +179,6 @@ class LeftFan(_Boxed):
     kind = "left_fan"
     box_fields = (None, "s_max", "p", "p")
 
-    def crossed_heads(self, t: int, n: int) -> Heads:
-        # Heads beyond p cross the members with feet far left of t; heads short
-        # of p cross the members whose foot x0 lies between t and the head.
-        p = self.p
-        if t >= p:
-            return ()
-        x0 = _first_from(t + 1, p - 1, n)
-        if x0 <= self.s_max:
-            return ((x0 + 1, p - 1), (p + 1, None))
-        return ((p + 1, None),)
-
 
 @dataclass(frozen=True)
 class RightFan(_Boxed):
@@ -174,17 +189,6 @@ class RightFan(_Boxed):
 
     kind = "right_fan"
     box_fields = ("p", "p", "u_min", None)
-
-    def crossed_heads(self, t: int, n: int) -> Heads:
-        # Left of p, heads beyond p cross the members with far heads; right of
-        # p, heads beyond the first member head y0 past t cross (p, y0).
-        p = self.p
-        if t < p:
-            return ((p + 1, None),)
-        if t > p:
-            y0 = _first_from(max(t + 1, self.u_min), p + 1, n)
-            return ((y0 + 1, None),)
-        return ()
 
 
 @dataclass(frozen=True)
@@ -197,15 +201,6 @@ class Band(_Boxed):
     kind = "band"
     box_fields = (None, "k_max", "l_min", None)
 
-    def crossed_heads(self, t: int, n: int) -> Heads:
-        # Either a member pierces (t, u) from the left (its head lands in the
-        # open interval, feet are free) or from the right (its foot lands in
-        # the interval, heads are free).  Residues never obstruct: the free
-        # endpoint absorbs the congruence.
-        if t < self.k_max:
-            return ((t + 1, None),)
-        return ((self.l_min + 1, None),)
-
 
 @dataclass(frozen=True)
 class HalfLeft(_Boxed):
@@ -216,11 +211,6 @@ class HalfLeft(_Boxed):
     kind = "half_left"
     box_fields = (None, "p", None, "p")
 
-    def crossed_heads(self, t: int, n: int) -> Heads:
-        # Any arc whose left endpoint lies below p is pierced by a member
-        # ending just inside it; everything else sits fully to the right.
-        return ((t + 1, None),) if t < self.p else ()
-
 
 @dataclass(frozen=True)
 class HalfRight(_Boxed):
@@ -230,9 +220,6 @@ class HalfRight(_Boxed):
 
     kind = "half_right"
     box_fields = ("q", None, "q", None)
-
-    def crossed_heads(self, t: int, n: int) -> Heads:
-        return ((self.q + 1, None),)
 
 
 Family = Union[LeftFan, RightFan, Band, HalfLeft, HalfRight]
@@ -260,12 +247,10 @@ def family_from_json(d: dict, locus: str = "family") -> Family:
     extra = set(d) - set(names) - {"kind"}
     if extra:
         raise ValidationError(f"{locus}: unexpected fields {sorted(extra)}")
-    args = []
-    for name in names:
-        if name not in d:
-            raise ValidationError(f"{locus}: missing field {name!r}")
-        v = d[name]
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValidationError(f"{locus}.{name}: expected an integer, got {v!r}")
-        args.append(v)
-    return _KINDS[kind](*args)
+    missing = [name for name in names if name not in d]
+    if missing:
+        raise ValidationError(f"{locus}: missing field {missing[0]!r}")
+    try:
+        return _KINDS[kind](*(d[name] for name in names))
+    except ValueError as exc:  # a field that is not an integer
+        raise ValidationError(f"{locus}.{exc}") from None

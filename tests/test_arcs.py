@@ -37,6 +37,12 @@ def test_arc_requires_order():
         Arc(6, 2)
 
 
+@pytest.mark.parametrize("t,u", [(0.5, 4.5), (0.0, 4.0), (True, 4), (0, True), ("0", 4)])
+def test_arc_refuses_non_integer_endpoints(t, u):
+    with pytest.raises(ValueError, match="must be integers"):
+        Arc(t, u)
+
+
 def test_normalize():
     assert normalize(6, 2) == Arc(2, 6)
     assert normalize(2, 6) == Arc(2, 6)

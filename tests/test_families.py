@@ -194,6 +194,15 @@ def test_members_are_admissible_and_in_window():
             assert fam.is_member(m, P3)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: LeftFan(0.5, 3), lambda: RightFan(0, 4.0), lambda: Band(True, 3),
+    lambda: HalfLeft(False), lambda: HalfRight("1"),
+], ids=["left_fan", "right_fan", "band", "half_left", "half_right"])
+def test_kinds_refuse_non_integer_fields(build):
+    with pytest.raises(ValueError, match="expected an integer"):
+        build()
+
+
 def test_specific_crossings():
     # fan reached from inside the probe's span
     assert LeftFan(2, -5).crossed_by(Arc(0, 4), P3)
@@ -226,7 +235,35 @@ def test_json_rejects_garbage():
         family_from_json({"kind": "spiral"})
     with pytest.raises(ValidationError):
         family_from_json({"kind": "band", "k_max": 1})
-    with pytest.raises(ValidationError):
-        family_from_json({"kind": "band", "k_max": 1, "l_min": "x"})
+    with pytest.raises(ValidationError, match=r"^f\.l_min: expected an integer, got 'x'$"):
+        family_from_json({"kind": "band", "k_max": 1, "l_min": "x"}, "f")
+    with pytest.raises(ValidationError, match=r"^f\.p: expected an integer, got True$"):
+        family_from_json({"kind": "half_left", "p": True}, "f")
     with pytest.raises(ValidationError):
         family_from_json({"kind": "half_left", "p": 0, "weird": 3})
+
+
+def every_kind(scalars):
+    for a in scalars:
+        yield HalfLeft(a)
+        yield HalfRight(a)
+        for b in scalars:
+            yield from (LeftFan(a, b), RightFan(a, b), Band(a, b))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_crossed_heads_match_enumeration_on_a_small_world(n):
+    """Every kind with scalars in [-5, 5], every foot t in [-8, 8] and every
+    admissible head up to 20, against the members on [-16, 28]: far enough
+    out that a crossing member, if any, has a representative there."""
+    p, top = ModelParams(n), 20
+    for fam in every_kind(range(-5, 6)):
+        members = list(fam.members_in(-16, 28, p))
+        for t in range(-8, 9):
+            heads = range(t + (2 if n == 1 else n + 1), top + 1, n)
+            # a member (a, b) crosses (t, u) iff t < a < u < b or a < t < b < u
+            inside = [(a, b) for a, b in members if t < a < top]
+            over = min((b for a, b in members if a < t < b), default=None)
+            for u in heads:
+                brute = (over is not None and over < u) or any(a < u < b for a, b in inside)
+                assert fam.crossed_by(Arc(t, u), p) == brute, (fam, t, u)
