@@ -18,6 +18,17 @@ parent's by more than the metric's bound, ``unresolved`` when the parent's
 interquartile spread exceeds the bound (relative to its median) and not
 every change run beats every parent run, else ``ok``.
 
+Work counts.  For each workload and checkout one more child, untimed, builds
+the workload from ``perfbench/workloads.py``, runs one warm-up unit (the
+``cli`` workload in process) and counts the Python ``call`` events inside
+the ops of the next unit (seed ``--seed``, ``PYTHONHASHSEED=0``).  Each side
+gets a ``work`` block of ops and calls per unit, and with ``--baseline`` the
+file gets a ``work_status`` per workload: ``more``, ``same`` or ``less``
+calls than the parent (``unknown`` when a count failed).  Timings of the same
+code drift across sessions by more than the bounds; counts do not, so they
+settle whether the work changed when a timing is ``unresolved``.  They miss
+work done inside C, so they do not replace the timings.
+
 Both sides run as a fresh checkout does: before the first run the bytecode
 cached under each checkout's ``src/`` is removed, and every run sets
 ``PYTHONDONTWRITEBYTECODE=1``, so each interpreter compiles the library
@@ -59,6 +70,63 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"seed": seed, "correct": result["correct"], "metrics": metrics}
 
 
+# The work-count child, run in a checkout: ops and Python calls of one unit
+# after one warm-up unit.  Only the ops are profiled, as only they are timed.
+COUNT = """
+import json, sys
+sys.path[:0] = ["perfbench", "src"]
+from harness import run_units
+from workloads import WORKLOADS
+
+name, seed = sys.argv[1], int(sys.argv[2])
+wl = WORKLOADS[name](seed)
+units = wl.units(in_process=True)
+calls = ops = 0
+
+def tick(frame, event, arg):
+    global calls
+    calls += event == "call"
+
+def counted(op):
+    global ops
+    run, ops = op.run, ops + 1
+    def profiled():
+        sys.setprofile(tick)
+        try:
+            return run()
+        finally:
+            sys.setprofile(None)
+    op.run = profiled
+    return op
+
+try:
+    run_units(units, 0)  # one warm-up unit
+    run_units([map(counted, next(units))], 0)
+finally:
+    getattr(wl, "close", lambda: None)()
+print(json.dumps({"ops": ops, "calls": calls}))
+"""
+
+
+def work(checkout: Path, workload: str, seed: int) -> dict:
+    """Ops and Python calls of one unit of ``workload`` in ``checkout``."""
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", COUNT, workload, str(seed)], cwd=checkout,
+                          env=env, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        return {"error": proc.stderr.strip()[-500:]}
+    return json.loads(lines[-1])
+
+
+def work_status(change: dict, parent: dict) -> str:
+    """``more``, ``same`` or ``less`` calls per unit than the parent."""
+    if "calls" not in change or "calls" not in parent:
+        return "unknown"
+    c, p = change["calls"], parent["calls"]
+    return "more" if c > p else "less" if c < p else "same"
+
+
 def clear_bytecode(checkout: Path) -> None:
     """Remove every ``__pycache__`` directory under the checkout's ``src/``."""
     for cache in [p for p in (checkout / "src").rglob("__pycache__") if p.is_dir()]:
@@ -83,13 +151,14 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
-def side(checkout: Path, runs: dict[str, list[dict]]) -> dict:
+def side(checkout: Path, runs: dict[str, list[dict]], counts: dict[str, dict]) -> dict:
     return {
         **describe(checkout),
         "workloads": {
             w: {"correct": all(r["correct"] for r in rs), "summary": summary(rs), "runs": rs}
             for w, rs in runs.items()
         },
+        "work": counts,
     }
 
 
@@ -144,6 +213,7 @@ def main(argv: list[str] | None = None) -> int:
         clear_bytecode(checkout)
     mine: dict[str, list[dict]] = {}
     theirs: dict[str, list[dict]] = {}
+    counts = {c: {w: work(c, w, a.seed) for w in WORKLOADS} for c in (here, base) if c}
     for w in WORKLOADS:
         mine[w], theirs[w] = [], []
         for i in range(a.pairs):
@@ -159,12 +229,13 @@ def main(argv: list[str] | None = None) -> int:
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
         "seconds": a.seconds,
         "python": sys.version.split()[0],
-        "change": side(here, mine),
+        "change": side(here, mine, counts[here]),
     }
     if base is not None:
-        report["parent"] = side(base, theirs)
+        report["parent"] = side(base, theirs, counts[base])
         report["change_wins"] = {w: wins(mine[w], theirs[w]) for w in mine}
         report["status"] = {w: status(mine[w], theirs[w]) for w in mine}
+        report["work_status"] = {w: work_status(counts[here][w], counts[base][w]) for w in mine}
     out = a.out or ROOT / f"BENCH_{a.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     every = [r for runs in (mine, theirs) for rs in runs.values() for r in rs]

@@ -10,9 +10,10 @@ the members of a set and one for its non-crossing closure.  For a fixed
 foot every constraint is an interval of heads ``u``: an explicit arc
 ``(r, v)`` blocks ``u > v`` when ``r < t < v`` and ``r < u < v`` when
 ``t < r``, and each family states its blocked and member heads per foot
-(see :mod:`infgon.families`).  Merging the intervals (:func:`runs_of`) gives
-the foot's heads as canonical runs (:data:`Runs`) in O(m + f), for m
-explicit arcs and f families.
+(see :mod:`infgon.families`).  One merge, ``_union``, turns a foot's
+intervals into canonical runs (:data:`Runs`) in O(m + f), for m explicit
+arcs and f families: the member row is the union of the member intervals
+(:func:`runs_of`), the closure row the complement of the blocked union.
 
 The kernels run only on the feet that a plan of *pieces* picks.  The
 *anchors* are the sets' :func:`features` in the window and ``w.hi``; every
@@ -161,8 +162,9 @@ def crosses_set(a: Arc, s: ArcSet) -> bool:
     return any(f.crossed_by(a, p) for f in s.families)
 
 
-# The sweeps build their output arcs with tuple.__new__: t < u and the
-# residue hold by construction, so Arc's checks would only repeat them.
+# The sweeps build their output arcs, and the library the sets it lists or
+# rotates, with tuple.__new__: t < u and the residue hold by construction,
+# so the checks of Arc and ArcSet would only repeat them.
 _make = tuple.__new__
 
 
@@ -174,36 +176,36 @@ _make = tuple.__new__
 Runs = dict[int, list[tuple[int, int]]]
 
 
-def _add_run(runs: list[tuple[int, int]], first: int, stop: int) -> None:
-    """Append the run [first, stop), merged into a run that stops at first."""
-    if runs and runs[-1][1] == first:
-        runs[-1] = (runs[-1][0], stop)
-    else:
-        runs.append((first, stop))
+def _union(t: int, heads: list[tuple[int, int]], hi: int, n: int) -> list[tuple[int, int]]:
+    """The canonical runs of the heads of foot ``t`` up to ``hi`` that lie in
+    some closed interval ``(a, b)`` of ``heads`` (sorted in place; ``a > b``
+    covers nothing).  Both kernels turn intervals into runs here only."""
+    heads.sort()
+    runs: list[tuple[int, int]] = []
+    u = t + n + 1  # the least head not yet decided
+    for a, b in heads:
+        if a > hi:
+            break
+        if a > u:
+            u = _first_from(a, t + 1, n)
+        if b > hi:
+            b = hi
+        if u <= b:
+            stop = _first_from(b + 1, t + 1, n)
+            if runs and runs[-1][1] == u:  # adjacent: extend the last run
+                runs[-1] = (runs[-1][0], stop)
+            else:
+                runs.append((u, stop))
+            u = stop
+    return runs
 
 
 def runs_of(per_foot: dict[int, list[tuple[int, int]]], w: Window, n: int) -> Runs:
-    """Canonical runs of closed head intervals ``(a, b)`` per foot (sorted in
-    place), clipped to ``w``: feet from ``w.lo``, heads up to ``w.hi``."""
-    lo, hi = w.lo, w.hi
+    """The ``_union`` of the closed head intervals ``(a, b)`` of each foot,
+    clipped to ``w``: feet from ``w.lo``, heads up to ``w.hi``."""
     out: Runs = {}
     for t in sorted(per_foot):
-        if t < lo:
-            continue
-        heads = per_foot[t]
-        heads.sort()
-        runs: list[tuple[int, int]] = []
-        u = t + n + 1
-        for a, b in heads:
-            if a > u:
-                u = _first_from(a, t + 1, n)
-            if b > hi:
-                b = hi
-            if u <= b:
-                stop = _first_from(b + 1, t + 1, n)
-                _add_run(runs, u, stop)
-                u = stop
-        if runs:
+        if t >= w.lo and (runs := _union(t, per_foot[t], w.hi, n)):
             out[t] = runs
     return out
 
@@ -227,7 +229,9 @@ def _member_rows(s: ArcSet, w: Window, feet: Iterable[range]) -> Runs:
 
 def _nc_rows(s: ArcSet, w: Window, feet: Iterable[range]) -> Runs:
     """The closure kernel: the runs of ``nc s`` on the given feet (increasing
-    ranges in ``w``), each decided exactly against the full symbolic set."""
+    ranges in ``w``), each decided exactly against the full symbolic set.  A
+    foot's row is its heads up to the first cap less the ``_union`` of the
+    heads its crossing intervals block."""
     n, hi = s.params.n, w.hi
     # fans, the boxes with a single foot or a single head, last
     fams = sorted(s.families, key=lambda f: f.box[0] == f.box[1] or f.box[2] == f.box[3])
@@ -258,19 +262,10 @@ def _nc_rows(s: ArcSet, w: Window, feet: Iterable[range]) -> Runs:
                 break
         if u > top:
             continue
-        blocked.sort()
-        runs: list[tuple[int, int]] = []
-        for a, b in blocked:
-            if a > top:
-                break
-            if a > u:
-                stop = _first_from(a, t + 1, n)
-                _add_run(runs, u, stop)
-                u = stop
-            if b >= u:
-                u = _first_from(b + 1, t + 1, n)
-        if u <= top:
-            _add_run(runs, u, _first_from(top + 1, t + 1, n))
+        # the union's runs lie in [u, stop) and are not adjacent: gaps are runs
+        cuts = [u, *chain.from_iterable(_union(t, blocked, top, n)),
+                _first_from(top + 1, t + 1, n)]
+        runs = [(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if a < b]
         if runs:
             out[t] = runs
     return out
@@ -489,7 +484,7 @@ def double_nc_extras(s: ArcSet, w: Window) -> list[Arc]:
     rows = ((t, r if t > lo else _meet(r, [(_first_from(lo + 1, t + 1, n),
                                             _first_from(hi, t + 1, n))]))
             for t, r in nc_runs(s, bound).items() if t < hi)  # an end inside w
-    nc = ArcSet(s.params, frozenset(_arcs(rows, n)))
+    nc = _make(ArcSet, (s.params, frozenset(_arcs(rows, n)), ()))
     plan = _Pieces.of(w, nc, s)
     return plan.difference(plan.closure(nc), plan.members(s))
 

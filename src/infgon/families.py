@@ -37,8 +37,8 @@ it without fixing it, and each over-reports only heads the other case gives
 anyway: ``HalfLeft``'s first case (its second gives all heads from ``t + 2``)
 and ``HalfRight``'s second for ``q <= t < q + n`` (its first does).  An
 interval may be empty (``a > b``, e.g. a ``LeftFan`` at ``t >= p - 1``):
-``crossed_by`` tests ``a <= u <= b``, and the sweep in :mod:`infgon.arcsets`
-at most splits a run there, which ``_add_run`` merges back.
+``crossed_by`` tests ``a <= u <= b``, and the interval union in
+:mod:`infgon.arcsets` covers no head with it.
 :func:`_first_from` is the package's one residue rule.  Every predicate is
 pinned against brute enumeration in the test suite.
 """

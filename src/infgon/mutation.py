@@ -279,11 +279,8 @@ def rotate_set(x: ArcSet, d: DividerSet) -> ArcSet:
         members += ms
         fams += fs
     images = _rotate_all((m for m in members if m not in d.arcs), d, _pred)
-    return ArcSet(
-        x.params,
-        frozenset(images) | d.arcs,
-        tuple(sorted(set(fams), key=lambda f: (f.kind, family_scalars(f)))),
-    )
+    fams = sorted(set(fams), key=lambda f: (f.kind, family_scalars(f)))
+    return _make(ArcSet, (x.params, frozenset(images) | d.arcs, tuple(fams)))
 
 
 def mutate_pair(

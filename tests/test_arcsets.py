@@ -31,7 +31,9 @@ from infgon import (
     mutate_pair,
     nc_window,
     parse_document,
+    rotate_set,
 )
+from infgon import arcsets
 from infgon.arcsets import member_runs, nc_runs
 from infgon.errors import NonAdmissible, UnsupportedFamilies
 from infgon.families import family_scalars
@@ -102,6 +104,38 @@ def test_constructors_name_an_item_that_is_not_an_arc_or_a_family(make, item):
     with pytest.raises(TypeError) as exc:
         make()
     assert item in str(exc.value)
+
+
+def admissibility_checks(monkeypatch) -> list[Arc]:
+    """The arcs ``require_admissible`` is called on in ``arcsets`` from now on."""
+    seen, real = [], arcsets.require_admissible
+    monkeypatch.setattr(arcsets, "require_admissible", lambda a, p: seen.append(a) or real(a, p))
+    return seen
+
+
+def test_rotate_set_checks_no_image_again(monkeypatch):
+    """The rotation kernel checks every image, so the rotated set is built
+    without ``ArcSet``'s checks: the checks left are the dividers', whatever
+    the size of the set."""
+    d = DividerSet(P3, [Arc(0, 4)])
+    sets = [ArcSet(P3, [Arc(0, 4), *(Arc(10 + 5 * k, 14 + 5 * k) for k in range(size - 1))])
+            for size in (10, 500)]
+    seen = admissibility_checks(monkeypatch)
+    counts = []
+    for s in sets:
+        seen.clear()
+        assert len(rotate_set(s, d).explicit) == len(s.explicit)
+        counts.append(len(seen))
+    assert counts[0] == counts[1]
+
+
+def test_in_nc_nc_checks_only_its_probe(monkeypatch):
+    """The listing of ``nc s`` it sweeps is built unchecked, too."""
+    seen = admissibility_checks(monkeypatch)
+    assert not in_nc_nc(Arc(-8, 11), X)
+    assert seen == [Arc(-8, 11)]
+    with pytest.raises(NonAdmissible):
+        in_nc_nc(Arc(-8, 10), X)
 
 
 def test_divider_set_freezes_its_arcs():

@@ -78,3 +78,37 @@ def test_runs_write_no_bytecode(monkeypatch, tmp_path):
     assert bench_all.bench(tmp_path, "cli", 1, 1.0) == {"seed": 1, "correct": False,
                                                          "error": "boom"}
     assert seen["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+@pytest.mark.parametrize("change,parent,want", [
+    ({"ops": 10, "calls": 7831}, {"ops": 10, "calls": 7662}, "more"),
+    ({"ops": 10, "calls": 7662}, {"ops": 10, "calls": 7662}, "same"),
+    ({"ops": 13, "calls": 73103}, {"ops": 13, "calls": 87005}, "less"),
+    ({"error": "boom"}, {"ops": 13, "calls": 87005}, "unknown"),
+    ({"ops": 13, "calls": 87005}, {"error": "boom"}, "unknown"),
+])
+def test_work_status_compares_calls_per_unit(change, parent, want):
+    assert bench_all.work_status(change, parent) == want
+
+
+def test_work_counts_run_with_fixed_hashes_and_no_bytecode(monkeypatch, tmp_path):
+    seen = {}
+
+    def fake_run(cmd, cwd, env, **kw):
+        seen.update(cmd=cmd, cwd=cwd, env=env)
+        return subprocess.CompletedProcess(cmd, 0, 'noise\n{"ops": 8, "calls": 5}\n', "")
+
+    monkeypatch.setattr(bench_all.subprocess, "run", fake_run)
+    assert bench_all.work(tmp_path, "cli", 3) == {"ops": 8, "calls": 5}
+    assert seen["cmd"][-2:] == ["cli", "3"] and seen["cwd"] == tmp_path
+    assert seen["env"]["PYTHONHASHSEED"] == "0"
+    assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    monkeypatch.setattr(bench_all.subprocess, "run",
+                        lambda cmd, **kw: subprocess.CompletedProcess(cmd, 1, "", "boom"))
+    assert bench_all.work(tmp_path, "cli", 3) == {"error": "boom"}
+
+
+def test_work_counts_one_verify_unit_of_this_checkout():
+    """The child really runs against ``perfbench/workloads.py``: ten ops."""
+    got = bench_all.work(SCRIPT.parent.parent, "verify", 1)
+    assert got["ops"] == 10 and got["calls"] > 1000, got

@@ -22,8 +22,8 @@ from infgon import (
     rotate_set,
 )
 from infgon import arcsets
-from infgon.arcsets import (_member_rows, _nc_rows, _piece_runs, _Pieces, _xor, features,
-                            member_runs, nc_runs, runs_of)
+from infgon.arcsets import (_member_rows, _nc_rows, _piece_runs, _Pieces, _union, _xor,
+                            features, member_runs, nc_runs, runs_of)
 from infgon.errors import NonAffinePiece
 from infgon.families import Band, HalfLeft, HalfRight, LeftFan, RightFan
 from infgon.oracles import random_finite_arcs
@@ -210,6 +210,23 @@ def test_xor_gives_the_heads_in_exactly_one_as_runs(n, p, q):
     got = _xor(foot(p), foot(q))
     assert all(a < b for a, b in got)
     assert listed(got) == listed(foot(p)) ^ listed(foot(q))
+
+
+# Closed intervals in either order (a > b is empty, as ``crossed_heads`` may
+# give), ending past the cap or not; in a range this narrow many touch.
+closed = st.tuples(st.integers(-2, 26), st.integers(-2, 26))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@given(t=st.integers(-3, 3), hi=st.integers(0, 22), heads=st.lists(closed, max_size=6))
+def test_union_gives_the_covered_heads_as_canonical_runs(n, t, hi, heads):
+    """The one merge both kernels share: the heads ``u = t + 1 (mod n)``
+    from ``t + n + 1`` to ``hi`` that some interval covers, as canonical runs."""
+    got = _union(t, list(heads), hi, n)
+    want = [u for u in range(t + n + 1, hi + 1, n) if any(a <= u <= b for a, b in heads)]
+    assert [u for a, b in got for u in range(a, b, n)] == want
+    assert all(a < b and (a - t - 1) % n == (b - t - 1) % n == 0 for a, b in got)
+    assert all(stop < first for (_, stop), (first, _) in zip(got, got[1:]))
 
 
 @pytest.mark.parametrize("rows", [
