@@ -162,9 +162,8 @@ def crosses_set(a: Arc, s: ArcSet) -> bool:
     return any(f.crossed_by(a, p) for f in s.families)
 
 
-# The sweeps build their output arcs, and the library the sets it lists or
-# rotates, with tuple.__new__: t < u and the residue hold by construction,
-# so the checks of Arc and ArcSet would only repeat them.
+# Arcs the sweeps list and sets the library builds are made with tuple.__new__:
+# t < u and the residue hold by construction, as Arc's and ArcSet's checks ask.
 _make = tuple.__new__
 
 
@@ -182,21 +181,20 @@ def _union(t: int, heads: list[tuple[int, int]], hi: int, n: int) -> list[tuple[
     covers nothing).  Both kernels turn intervals into runs here only."""
     heads.sort()
     runs: list[tuple[int, int]] = []
-    u = t + n + 1  # the least head not yet decided
+    first = u = t + n + 1  # the open run [first, u); u is the least head undecided
     for a, b in heads:
         if a > hi:
             break
-        if a > u:
-            u = _first_from(a, t + 1, n)
+        if a > u:  # no interval covers u: close the open run, start one at a
+            if first < u:
+                runs.append((first, u))
+            first = u = _first_from(a, t + 1, n)
         if b > hi:
             b = hi
         if u <= b:
-            stop = _first_from(b + 1, t + 1, n)
-            if runs and runs[-1][1] == u:  # adjacent: extend the last run
-                runs[-1] = (runs[-1][0], stop)
-            else:
-                runs.append((u, stop))
-            u = stop
+            u = _first_from(b + 1, t + 1, n)
+    if first < u:
+        runs.append((first, u))
     return runs
 
 
@@ -263,9 +261,11 @@ def _nc_rows(s: ArcSet, w: Window, feet: Iterable[range]) -> Runs:
         if u > top:
             continue
         # the union's runs lie in [u, stop) and are not adjacent: gaps are runs
-        cuts = [u, *chain.from_iterable(_union(t, blocked, top, n)),
-                _first_from(top + 1, t + 1, n)]
-        runs = [(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if a < b]
+        runs, stop = [], _first_from(top + 1, t + 1, n)
+        for a, b in [*_union(t, blocked, top, n), (stop, stop)]:
+            if u < a:
+                runs.append((u, a))
+            u = b
         if runs:
             out[t] = runs
     return out
