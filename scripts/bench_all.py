@@ -21,10 +21,13 @@ every change run beats every parent run, else ``ok``.
 Work counts.  For each workload and checkout one more child, untimed, builds
 the workload from ``perfbench/workloads.py``, runs one warm-up unit (the
 ``cli`` workload in process) and counts the Python ``call`` events inside
-the ops of the next unit (seed ``--seed``, ``PYTHONHASHSEED=0``).  Each side
-gets a ``work`` block of ops and calls per unit, and with ``--baseline`` the
+the ops of the next unit (seed ``--seed``, ``PYTHONHASHSEED=0``).  It also
+counts the calls that build the workload, as ``setup_calls``.  Each side
+gets a ``work`` block of ops, calls per unit and set-up calls, and
+``setup_modules``: the ``infgon.*`` modules a fresh ``import infgon.cli``
+loads, the import that ``setup_s`` times.  With ``--baseline`` the
 file gets a ``work_status`` per workload: ``more``, ``same`` or ``less``
-calls than the parent (``unknown`` when a count failed).  Timings of the same
+calls per unit than the parent (``unknown`` when a count failed).  Timings of the same
 code drift across sessions by more than the bounds; counts do not, so they
 settle whether the work changed when a timing is ``unresolved``.  They miss
 work done inside C, so they do not replace the timings.
@@ -70,8 +73,9 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"seed": seed, "correct": result["correct"], "metrics": metrics}
 
 
-# The work-count child, run in a checkout: ops and Python calls of one unit
-# after one warm-up unit.  Only the ops are profiled, as only they are timed.
+# The work-count child, run in a checkout: Python calls that build the
+# workload, then ops and calls of one unit after one warm-up unit.  Only the
+# build and the ops are profiled, as only they are timed.
 COUNT = """
 import json, sys
 sys.path[:0] = ["perfbench", "src"]
@@ -79,39 +83,60 @@ from harness import run_units
 from workloads import WORKLOADS
 
 name, seed = sys.argv[1], int(sys.argv[2])
-wl = WORKLOADS[name](seed)
-units = wl.units(in_process=True)
 calls = ops = 0
 
 def tick(frame, event, arg):
     global calls
     calls += event == "call"
 
+def profiled(fn, *args):
+    sys.setprofile(tick)
+    try:
+        return fn(*args)
+    finally:
+        sys.setprofile(None)
+
 def counted(op):
     global ops
     run, ops = op.run, ops + 1
-    def profiled():
-        sys.setprofile(tick)
-        try:
-            return run()
-        finally:
-            sys.setprofile(None)
-    op.run = profiled
+    op.run = lambda: profiled(run)
     return op
 
+wl = profiled(WORKLOADS[name], seed)
+setup_calls, calls = calls, 0
+units = wl.units(in_process=True)
 try:
     run_units(units, 0)  # one warm-up unit
     run_units([map(counted, next(units))], 0)
 finally:
     getattr(wl, "close", lambda: None)()
-print(json.dumps({"ops": ops, "calls": calls}))
+print(json.dumps({"ops": ops, "calls": calls, "setup_calls": setup_calls}))
+"""
+
+# The modules child: what a fresh ``import infgon.cli`` loads.
+MODULES = """
+import json, sys
+sys.path[:0] = ["src"]
+import infgon.cli
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("infgon."))))
 """
 
 
 def work(checkout: Path, workload: str, seed: int) -> dict:
-    """Ops and Python calls of one unit of ``workload`` in ``checkout``."""
+    """Ops and Python calls of one unit of ``workload`` in ``checkout``, and
+    the calls that build it."""
+    return _child(checkout, COUNT, workload, str(seed))
+
+
+def setup_modules(checkout: Path) -> list[str] | dict:
+    """The ``infgon.*`` modules that a fresh ``import infgon.cli`` loads."""
+    return _child(checkout, MODULES)
+
+
+def _child(checkout: Path, source: str, *args: str) -> list | dict:
+    """The JSON last printed by ``python -c source args`` in ``checkout``."""
     env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-c", COUNT, workload, str(seed)], cwd=checkout,
+    proc = subprocess.run([sys.executable, "-c", source, *args], cwd=checkout,
                           env=env, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -159,6 +184,7 @@ def side(checkout: Path, runs: dict[str, list[dict]], counts: dict[str, dict]) -
             for w, rs in runs.items()
         },
         "work": counts,
+        "setup_modules": setup_modules(checkout),
     }
 
 

@@ -403,12 +403,28 @@ def nc_window(s: ArcSet, w: Window) -> list[Arc]:
 def fountain_loci(s: ArcSet) -> tuple[IntRegion, IntRegion]:
     """(left-fountain region, right-fountain region) of the set.
 
-    Finite data contributes nothing; each family kind contributes its
-    closed-form locus.
+    A left fountain at v is infinitely many members ``(t, v)``, a right one
+    infinitely many ``(v, u)``.  Explicit arcs are finitely many, and a box
+    ``(t0, t1, u0, u1)`` has infinitely many members at a head v of
+    ``[u0, u1]`` exactly when its feet reach ``-inf`` (``t0`` is None): the
+    feet ``t = v - 1 (mod n)``, ``t <= min(t1, v - 2)``, are then unbounded.
+    So the left region gathers the head intervals of the boxes with ``t0``
+    None and, mirrored, the right one the foot intervals of the boxes with
+    ``u1`` None, an interval with a ``None`` end as a ray.
     """
-    empty, fams = IntRegion.empty(), s.families
-    return (empty.union(*(f.left_locus() for f in fams)),
-            empty.union(*(f.right_locus() for f in fams)))
+    left, right = ([], [], []), ([], [], [])  # points, left rays, right rays
+    for f in s.families:
+        t0, t1, u0, u1 = f.box
+        for (points, lows, highs), lo, hi, far in ((left, u0, u1, t0), (right, t0, t1, u1)):
+            if far is not None:  # the other end is bounded: finitely many per point
+                continue
+            if lo is None:
+                lows.append(hi)
+            elif hi is None:
+                highs.append(lo)
+            else:
+                points.extend(range(lo, hi + 1))
+    return IntRegion.of(*left), IntRegion.of(*right)
 
 
 class FinitenessReport(NamedTuple):

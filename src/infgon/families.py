@@ -16,9 +16,9 @@ reads every predicate off the box.  ``is_member`` tests membership.
 ``(a, b)``, ``b = None`` for ``[a, inf)``; the caller imposes admissibility
 by stepping through ``u = t + 1 (mod n)``, and a single head ``u0 = u1`` has
 members only on the feet ``t = u1 - 1 (mod n)``.  ``feet_in(lo, hi, n)`` is
-the range of feet in ``[lo, hi]`` that carry a member.  Feet reaching
-``-inf`` put a left fountain at each head (``left_locus``), heads reaching
-``+inf`` a right fountain at each foot (``right_locus``).
+the range of feet in ``[lo, hi]`` that carry a member.  The fountain loci
+are a fact about the whole set: :func:`infgon.arcsets.fountain_loci` reads
+them off the boxes.
 
 ``crossed_heads(t, n)`` gives, in the same form, the heads of the arcs
 ``(t, u)`` that some member crosses.  A member crosses in one of two ways:
@@ -52,7 +52,6 @@ from typing import Iterator, Union, get_args
 from . import _EXPORTS
 from .arcs import Arc, ModelParams
 from .errors import ValidationError
-from .regions import IntRegion
 
 __all__ = [*_EXPORTS["families"], "family_from_json", "family_scalars", "family_to_json"]
 
@@ -83,15 +82,6 @@ def _members_in(self, lo: int, hi: int, params: ModelParams) -> Iterator[Arc]:
             top = hi if b is None else min(b, hi)
             for u in range(_first_from(max(a, t + n + 1), t + 1, n), top + 1, n):
                 yield Arc(t, u)
-
-
-def _region(lo: int | None, hi: int | None) -> IntRegion:
-    """The interval ``[lo, hi]`` (not both ends ``None``) as a region."""
-    if lo is None:
-        return IntRegion.of(left_rays=[hi])
-    if hi is None:
-        return IntRegion.of(right_rays=[lo])
-    return IntRegion.of(points=range(lo, hi + 1))
 
 
 class _Boxed:
@@ -159,14 +149,6 @@ class _Boxed:
             return range(lo, hi + 1)
         hi = min(hi, u1 - 2)  # a member's head lies at least two past its foot
         return range(_first_from(lo, u1 - 1, n), hi + 1, n) if u0 == u1 else range(lo, hi + 1)
-
-    def left_locus(self) -> IntRegion:
-        t0, _, u0, u1 = self.box
-        return _region(u0, u1) if t0 is None else IntRegion.empty()
-
-    def right_locus(self) -> IntRegion:
-        t0, t1, _, u1 = self.box
-        return _region(t0, t1) if u1 is None else IntRegion.empty()
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,11 @@ def test_work_counts_run_with_fixed_hashes_and_no_bytecode(monkeypatch, tmp_path
 
 
 def test_work_counts_one_verify_unit_of_this_checkout():
-    """The child really runs against ``perfbench/workloads.py``: ten ops."""
+    """The child really runs against ``perfbench/workloads.py``: ten ops, and
+    a build that makes calls of its own.  The modules child lists what
+    ``import infgon.cli`` loads, sorted."""
     got = bench_all.work(SCRIPT.parent.parent, "verify", 1)
-    assert got["ops"] == 10 and got["calls"] > 1000, got
+    assert got["ops"] == 10 and got["calls"] > 1000 and got["setup_calls"] > 100, got
+    mods = bench_all.setup_modules(SCRIPT.parent.parent)
+    assert "infgon.cli" in mods and mods == sorted(mods), mods
+    assert all(m.startswith("infgon.") for m in mods), mods

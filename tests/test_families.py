@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from infgon import (
     Arc,
+    ArcSet,
     Band,
     HalfLeft,
     HalfRight,
@@ -14,6 +15,7 @@ from infgon import (
     Window,
     admissible_arcs_in,
     cross,
+    fountain_loci,
     is_admissible,
 )
 from infgon.errors import ValidationError
@@ -137,6 +139,11 @@ def ref_member_heads(fam, t: int, n: int):
     return ((t + 2, None),) if t >= fam.q else ()
 
 
+def loci(n: int, *fams) -> tuple[IntRegion, IntRegion]:
+    """The fountain loci of the set of the families ``fams``."""
+    return fountain_loci(ArcSet(ModelParams(n), families=fams))
+
+
 def ref_loci(fam) -> tuple[IntRegion, IntRegion]:
     """(left locus, right locus)."""
     empty = IntRegion.empty()
@@ -172,7 +179,7 @@ def test_derived_methods_match_frozen_references(n, fam, ends):
     for t in range(lo, hi):
         for u in range(t + 1, hi + 1):
             assert fam.is_member(Arc(t, u), ModelParams(n)) == ref_is_member(fam, Arc(t, u))
-    assert (fam.left_locus(), fam.right_locus()) == ref_loci(fam)
+    assert loci(n, fam) == ref_loci(fam)
 
 
 @given(st.integers(1, 4), families)
@@ -216,13 +223,23 @@ def test_specific_crossings():
 
 
 def test_loci():
-    assert LeftFan(3, 0).left_locus().points == frozenset({3})
-    assert LeftFan(3, 0).right_locus().is_empty()
-    assert RightFan(0, 5).right_locus().points == frozenset({0})
-    assert Band(-5, 7).right_locus().left_max == -5
-    assert Band(-5, 7).left_locus().right_min == 7
-    assert HalfLeft(-4).left_locus().left_max == -4
-    assert HalfRight(6).right_locus().right_min == 6
+    assert loci(3, LeftFan(3, 0))[0].points == frozenset({3})
+    assert loci(3, LeftFan(3, 0))[1].is_empty()
+    assert loci(3, RightFan(0, 5))[1].points == frozenset({0})
+    assert loci(3, Band(-5, 7))[1].left_max == -5
+    assert loci(3, Band(-5, 7))[0].right_min == 7
+    assert loci(3, HalfLeft(-4))[0].left_max == -4
+    assert loci(3, HalfRight(6))[1].right_min == 6
+
+
+@given(st.integers(1, 4), st.lists(any_kind, max_size=5))
+@settings(max_examples=300)
+def test_loci_of_a_set_gather_every_family(n, fams):
+    """Each side of ``fountain_loci`` is the union of the families' loci."""
+    refs = [ref_loci(f) for f in fams]
+    empty = IntRegion.empty()
+    want = tuple(empty.union(*(r[side] for r in refs)) for side in (0, 1))
+    assert loci(n, *fams) == want
 
 
 @given(families)

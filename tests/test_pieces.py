@@ -26,7 +26,7 @@ from infgon.arcsets import (_member_rows, _nc_rows, _piece_runs, _Pieces, _union
                             features, member_runs, nc_runs, runs_of)
 from infgon.errors import NonAffinePiece
 from infgon.families import Band, HalfLeft, HalfRight, LeftFan, RightFan
-from infgon.oracles import random_finite_arcs
+from infgon.oracles import members_in_window_brute, nc_window_brute, random_finite_arcs
 
 from conftest import demo, orbit
 
@@ -123,6 +123,18 @@ class KernelCalls:
         return out, self.calls - before
 
 
+def assert_brute(rep, x, y, w, arcs=None):
+    """The verdict's witnesses (and the core) on ``w`` are the brute
+    listings' symmetric differences (and intersection).  The brute
+    references run no kernel, so a kernel fault fails here, on the narrow
+    window, before the wide run lists a wrong answer quadratic in its width."""
+    mx, my = (set(members_in_window_brute(s, w)) for s in (x, y))
+    ncx, ncy = (set(nc_window_brute(s, w)) for s in (x, y))
+    assert list(rep.x_equals_nc_y.witnesses) == sorted(mx ^ ncy)
+    assert list(rep.y_equals_nc_x.witnesses) == sorted(my ^ ncx)
+    assert arcs is None or arcs == sorted(mx & my)
+
+
 def test_verdict_and_core_cost_no_more_on_a_wider_window(monkeypatch):
     x, y = demo().sets["X"], demo().sets["Ync"]
     kernel = KernelCalls(monkeypatch)
@@ -131,6 +143,8 @@ def test_verdict_and_core_cost_no_more_on_a_wider_window(monkeypatch):
         w = Window(-half, half)
         rep, pair_calls = kernel.run(check_pair, x, y, w)
         arcs, core_calls = kernel.run(core, x, y, w)
+        if half == 100:
+            assert_brute(rep, x, y, w, arcs)
         conds = [(c.ok, c.mode, c.witnesses) for c in rep.conditions().values()]
         results.append((conds, arcs, pair_calls, core_calls))
     assert results[0] == results[1]
@@ -156,6 +170,8 @@ def test_failing_verdict_costs_no_more_on_a_wider_window(monkeypatch):
         xors = 0
         rep, calls = kernel.run(check_pair, x, y, Window(-half, half))
         assert not rep.verdict
+        if half == 100:
+            assert_brute(rep, x, y, Window(-half, half))
         counts.append((xors, calls))
     assert counts[0] == counts[1]
     assert counts[0][0] > 0 and counts[0][1] > 0
