@@ -25,12 +25,12 @@ the ops of the next unit (seed ``--seed``, ``PYTHONHASHSEED=0``).  It also
 counts the calls that build the workload, as ``setup_calls``.  Each side
 gets a ``work`` block of ops, calls per unit and set-up calls, and
 ``setup_modules``: the ``infgon.*`` modules a fresh ``import infgon.cli``
-loads, the import that ``setup_s`` times.  With ``--baseline`` the
-file gets a ``work_status`` per workload: ``more``, ``same`` or ``less``
-calls per unit than the parent (``unknown`` when a count failed).  Timings of the same
-code drift across sessions by more than the bounds; counts do not, so they
-settle whether the work changed when a timing is ``unresolved``.  They miss
-work done inside C, so they do not replace the timings.
+loads, the import that ``setup_s`` times.  With ``--baseline`` the file
+gets a ``work_status`` per workload: ``more``, ``same`` or ``less`` calls
+per unit than the parent (``unknown`` when a count failed).  Timings of the
+same code drift across sessions by more than the bounds; counts do not, so
+they settle whether the work changed when a timing is ``unresolved``.  They
+miss work done inside C, so they do not replace the timings.
 
 Both sides run as a fresh checkout does: before the first run the bytecode
 cached under each checkout's ``src/`` is removed, and every run sets
