@@ -32,8 +32,8 @@ _EXPORTS = {
     "documents": ("Document", "parse_document", "serialize_document"),
     "errors": ("InfgonError",),
     "families": ("Band", "Family", "HalfLeft", "HalfRight", "LeftFan", "RightFan"),
-    "homs": ("ExtCase", "ExtKind", "ExtTriangle", "ext1_case", "ext_dim", "ext_profile",
-             "ext_triangle", "hom_dim"),
+    "homs": ("ExtKind", "ExtTriangle", "ext1_case", "ext_dim", "ext_profile", "ext_triangle",
+             "hom_dim"),
     "mutation": ("DividerSet", "RotationResult", "mutate_pair", "mutation_via_triangle",
                  "predecessor", "rotate_arc", "rotate_arc_inverse", "rotate_set", "successor"),
     "regions": ("IntRegion",),

@@ -12,8 +12,8 @@ foot every constraint is an interval of heads ``u``: an explicit arc
 ``t < r``, and each family states its blocked and member heads per foot
 (see :mod:`infgon.families`).  One merge, ``_union``, turns a foot's
 intervals into canonical runs (:data:`Runs`) in O(m + f), for m explicit
-arcs and f families: the member row is the union of the member intervals
-(:func:`runs_of`), the closure row the complement of the blocked union.
+arcs and f families: the member row is the union of the member intervals,
+the closure row the complement of the blocked union.
 
 The kernels run only on the feet that a plan of *pieces* picks.  The
 *anchors* are the sets' :func:`features` in the window and ``w.hi``; every
@@ -64,8 +64,7 @@ from .errors import NonAffinePiece, UnsupportedFamilies
 from .families import Family, _first_from, family_scalars
 from .regions import IntRegion
 
-__all__ = [*_EXPORTS["arcsets"],
-           "Runs", "features", "member_runs", "nc_runs", "runs_of"]
+__all__ = [*_EXPORTS["arcsets"], "Runs", "features", "member_runs", "nc_runs"]
 
 
 class _WindowBase(NamedTuple):
@@ -198,16 +197,6 @@ def _union(t: int, heads: list[tuple[int, int]], hi: int, n: int) -> list[tuple[
     return runs
 
 
-def runs_of(per_foot: dict[int, list[tuple[int, int]]], w: Window, n: int) -> Runs:
-    """The ``_union`` of the closed head intervals ``(a, b)`` of each foot,
-    clipped to ``w``: feet from ``w.lo``, heads up to ``w.hi``."""
-    out: Runs = {}
-    for t in sorted(per_foot):
-        if t >= w.lo and (runs := _union(t, per_foot[t], w.hi, n)):
-            out[t] = runs
-    return out
-
-
 def _member_rows(s: ArcSet, w: Window, feet: Iterable[range]) -> Runs:
     """The member kernel: the runs of the members of ``s`` on the given feet
     (increasing ranges in ``w``); a family visits only its ``feet_in``."""
@@ -222,7 +211,11 @@ def _member_rows(s: ArcSet, w: Window, feet: Iterable[range]) -> Runs:
             for t in f.feet_in(span.start, span.stop - 1, n):
                 for a, b in f.member_heads(t, n):
                     per_foot.setdefault(t, []).append((a, hi if b is None else b))
-    return runs_of(per_foot, w, n)
+    out: Runs = {}
+    for t in sorted(per_foot):
+        if t >= w.lo and (runs := _union(t, per_foot[t], hi, n)):
+            out[t] = runs
+    return out
 
 
 def _nc_rows(s: ArcSet, w: Window, feet: Iterable[range]) -> Runs:

@@ -38,21 +38,15 @@ class ExtKind(enum.Enum):
     NEXT_COMPONENT = "next_component"
     ZERO = "zero"
 
-
-class ExtCase(NamedTuple):
-    kind: ExtKind
-
     @property
     def nonzero(self) -> bool:
-        return self.kind is not ExtKind.ZERO
+        return self is not ExtKind.ZERO
 
 
-_ZERO = ExtCase(ExtKind.ZERO)
-_SAME = ExtCase(ExtKind.SAME_COMPONENT)
-_NEXT = ExtCase(ExtKind.NEXT_COMPONENT)
+_ZERO, _SAME, _NEXT = ExtKind.ZERO, ExtKind.SAME_COMPONENT, ExtKind.NEXT_COMPONENT
 
 
-def _ext1(x: Arc, y: Arc, k: int, p: ModelParams) -> ExtCase:
+def _ext1(x: Arc, y: Arc, k: int, p: ModelParams) -> ExtKind:
     """Classify ``Ext^1(x, shift(y, k))`` on the integers x=(r,s), y-k=(t,u)."""
     n = p.n
     r, s = x
@@ -70,7 +64,7 @@ def _ext1(x: Arc, y: Arc, k: int, p: ModelParams) -> ExtCase:
     return _ZERO
 
 
-def ext1_case(x: Arc, y: Arc, p: ModelParams) -> ExtCase:
+def ext1_case(x: Arc, y: Arc, p: ModelParams) -> ExtKind:
     """Classify ``Ext^1(x, y)`` for admissible arcs x=(r,s), y=(t,u)."""
     return _ext1(x, y, 0, p)
 
@@ -123,8 +117,8 @@ def ext_triangle(x: Arc, y: Arc, p: ModelParams) -> ExtTriangle:
     case = ext1_case(x, y, p)
     r, s = x
     t, u = y
-    if case.kind is ExtKind.SAME_COMPONENT:
+    if case is _SAME:
         return ExtTriangle(y, _maybe(t, s, p), _maybe(r, u, p), x)
-    if case.kind is ExtKind.NEXT_COMPONENT:
+    if case is _NEXT:
         return ExtTriangle(y, _maybe(s, u, p), _maybe(r, t, p), x)
     raise NoExtension(f"Ext^1({x}, {y}) = 0 for n={p.n}")

@@ -3,7 +3,7 @@
 Fountain loci are always of this shape: finitely many isolated points plus
 at most one ray ``(-inf, left_max]`` and at most one ray ``[right_min, inf)``.
 Regions are canonical on construction (rays merged per side, points absorbed
-into rays), so membership and subset tests are exact and cheap.
+into rays), so membership and the inclusion witness are exact and cheap.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ class IntRegion(NamedTuple):
         }
         return IntRegion(frozenset(pts), lmax, rmin)
 
-    @staticmethod
-    def empty() -> "IntRegion":
-        return IntRegion.of()
-
     def __contains__(self, x: int) -> bool:
         if x in self.points:
             return True
@@ -45,17 +41,6 @@ class IntRegion(NamedTuple):
             return True
         rmin = self.right_min
         return rmin is not None and x >= rmin
-
-    def is_empty(self) -> bool:
-        return not self.points and self.left_max is None and self.right_min is None
-
-    def union(self, *others: "IntRegion") -> "IntRegion":
-        regs = (self, *others)
-        return IntRegion.of(
-            [x for r in regs for x in r.points],
-            [r.left_max for r in regs if r.left_max is not None],
-            [r.right_min for r in regs if r.right_min is not None],
-        )
 
     def uncovered_witness(self, other: "IntRegion") -> int | None:
         """Some integer in ``self`` but not in ``other``, or None if subset."""
@@ -79,6 +64,3 @@ class IntRegion(NamedTuple):
                     return x
                 x += 1
         return None
-
-    def issubset(self, other: "IntRegion") -> bool:
-        return self.uncovered_witness(other) is None

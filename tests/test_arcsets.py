@@ -12,6 +12,7 @@ from infgon import (
     DividerSet,
     HalfLeft,
     HalfRight,
+    IntRegion,
     LeftFan,
     ModelParams,
     RightFan,
@@ -189,12 +190,12 @@ def test_members_in_window_merges_families_and_explicit():
 
 def test_fountain_loci_examples():
     left, right = fountain_loci(ArcSet.of(P3, families=[RightFan(0, 5)]))
-    assert left.is_empty() and right.points == frozenset({0})
+    assert left == IntRegion.of() and right.points == frozenset({0})
 
     left, right = fountain_loci(Y_LITERAL)
     assert -4 in left and 7 in left  # half-left ray, band heads
     assert 6 in right and -5 in right  # half-right ray, band feet
-    assert fountain_loci(X) == (left.empty(), right.empty())
+    assert fountain_loci(X) == (IntRegion.of(), IntRegion.of())
 
 
 def test_finiteness_examples():

@@ -34,7 +34,8 @@ P3 = ModelParams(3)
     ],
 )
 def test_ext1_case_values(x, y, kind):
-    assert ext1_case(x, y, P3).kind is kind
+    assert ext1_case(x, y, P3) is kind
+    assert ext1_case(x, y, P3).nonzero is (kind is not ExtKind.ZERO)
 
 
 def test_ext1_case_rejects_non_admissible():
@@ -124,7 +125,7 @@ def test_same_and_next_component_conditions_never_overlap(case):
     same = (u - s) % n == 0 and t <= r - n and r + 1 <= u <= s - n
     nxt = (u - s - 1) % n == 0 and r + 1 <= t <= s - n and s + 1 <= u
     assert not (same and nxt)
-    kind = ext1_case(Arc(r, s), Arc(t, u), ModelParams(n)).kind
+    kind = ext1_case(Arc(r, s), Arc(t, u), ModelParams(n))
     assert (kind is ExtKind.SAME_COMPONENT) == same
     assert (kind is ExtKind.NEXT_COMPONENT) == nxt
 
@@ -222,7 +223,7 @@ def test_kernel_matches_shifted_reference(case):
     n, x, y, i = case
     p = ModelParams(n)
     case1 = _ref_ext1(x, y, n)
-    assert _outcome(lambda: ext1_case(x, y, p).kind) == case1
+    assert _outcome(ext1_case, x, y, p) == case1
     assert _outcome(hom_dim, x, y, p) == _ref_dim(x, y, -1, n)
     if i < 1:
         assert _outcome(ext_dim, x, y, i, p) == (

@@ -23,7 +23,7 @@ from infgon import (
 )
 from infgon import arcsets
 from infgon.arcsets import (_member_rows, _nc_rows, _piece_runs, _Pieces, _union, _xor,
-                            features, member_runs, nc_runs, runs_of)
+                            features, member_runs, nc_runs)
 from infgon.errors import NonAffinePiece
 from infgon.families import Band, HalfLeft, HalfRight, LeftFan, RightFan
 from infgon.oracles import members_in_window_brute, nc_window_brute, random_finite_arcs
@@ -218,7 +218,7 @@ intervals = st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)).map(sorte
 def test_xor_gives_the_heads_in_exactly_one_as_runs(n, p, q):
     """The rows a failing verdict expands are runs, each with first < stop."""
     def foot(heads):
-        return runs_of({0: list(map(tuple, heads))}, Window(0, 40), n).get(0, [])
+        return _union(0, list(map(tuple, heads)), 40, n)
 
     def listed(runs):
         return {u for a, b in runs for u in range(a, b, n)}

@@ -8,8 +8,6 @@ from infgon import (
     ArcSet,
     Condition,
     Document,
-    ExtCase,
-    ExtKind,
     ExtTriangle,
     FinitenessReport,
     IntRegion,
@@ -47,7 +45,6 @@ RECORDS = [
      "y_covariant=Condition(ok=True, mode='exact', witnesses=()), window=Window(lo=-3, hi=3))"),
     (RigidityReport(True), "RigidityReport(ok=True, witness=None)"),
     (Document(P3, {}), "Document(params=ModelParams(n=3), sets={})"),
-    (ExtCase(ExtKind.ZERO), "ExtCase(kind=<ExtKind.ZERO: 'zero'>)"),
     (TRIANGLE, "ExtTriangle(left=(0,4), mid1=None, mid2=(1,5), right=(1,8))"),
     (RotationResult(Arc(0, 4), TRIANGLE),
      "RotationResult(image=(0,4), via_triangle=ExtTriangle(left=(0,4), mid1=None, "

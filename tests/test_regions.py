@@ -32,7 +32,7 @@ def test_membership_basics():
     r = IntRegion.of(points=[0], left_rays=[-4], right_rays=[6])
     assert -4 in r and -100 in r and 6 in r and 100 in r and 0 in r
     assert -3 not in r and 5 not in r
-    assert IntRegion.empty().is_empty()
+    assert IntRegion.of() == IntRegion(frozenset(), None, None)
 
 
 @given(regions, regions)
@@ -44,20 +44,8 @@ def test_subset_witness_against_enumeration(a, b):
     # extreme in-range points escape.
     if w is None:
         assert covered
-        assert a.issubset(b)
     else:
         assert w in a and w not in b
-
-
-@given(regions, regions)
-def test_union_is_pointwise(a, b):
-    u = a.union(b)
-    assert points_of(u) == points_of(a) | points_of(b)
-    # ray bookkeeping beyond the enumeration range
-    assert (u.left_max is not None) == (a.left_max is not None or b.left_max is not None)
-    assert (u.right_min is not None) == (
-        a.right_min is not None or b.right_min is not None
-    )
 
 
 FAR = 10**12
