@@ -2,7 +2,8 @@
 
     python scripts/faults.py
 
-The catalogue is ``tests/faults.py``.  For each entry the script copies the
+The catalogue is ``FAULTS`` in ``tests/faults.py`` (its ``EQUIVALENT``
+mutants are not run).  For each entry the script copies the
 repository (without ``.git`` and caches) to a temporary directory, replaces
 the entry's old text by its new text, and runs the entry's selector there
 with ``python -m pytest -x -q -p no:cacheprovider --hypothesis-seed=0``, so

@@ -7,6 +7,9 @@ scripts/faults.py`` plants each fault in a copy of the tree and runs its
 selector; ``tests/test_faults.py`` keeps every entry applicable to the
 current tree.  A change that plants a fault by hand adds it here; a change
 that deletes the code a fault targets deletes the fault.
+
+``EQUIVALENT`` lists mutants that change no behaviour, each with the reason
+in its note: they are kept applicable but not run, since no test can fail.
 """
 
 from typing import NamedTuple
@@ -21,9 +24,21 @@ class Fault(NamedTuple):
 
 
 ARCSETS, FAMILIES = "src/infgon/arcsets.py", "src/infgon/families.py"
+MUTATION, HOMS = "src/infgon/mutation.py", "src/infgon/homs.py"
+CLI, BENCH_ALL = "src/infgon/cli.py", "scripts/bench_all.py"
 LOCI = "tests/test_families.py::test_loci_of_a_set_gather_every_family"
 SMALL_WORLD = "tests/test_families.py::test_crossed_heads_match_enumeration_on_a_small_world"
 UNION = "tests/test_pieces.py::test_union_gives_the_covered_heads_as_canonical_runs"
+PIECES = "tests/test_pieces.py::test_pieces_expand_to_the_kernel_on_every_foot"
+XOR = "tests/test_pieces.py::test_xor_gives_the_heads_in_exactly_one_as_runs"
+MEET = "tests/test_pieces.py::test_meet_gives_the_heads_in_both_as_canonical_runs"
+STEPS = ("tests/test_mutation.py::test_nested_divider_ties "
+         "tests/test_mutation.py::test_rotation_kernel_matches_cellwalk_on_divider_cases")
+ROTATE = "tests/test_mutation.py::test_rotate_set_matches_pointwise_rotation"
+SPLIT = "tests/test_mutation.py::test_family_split_matches_the_frozen_per_kind_rules"
+ROUND_TRIP = "tests/test_reflection.py::test_reflected_rotation_undoes_rotate_set"
+KERNEL = "tests/test_homs.py::test_kernel_matches_shifted_reference"
+STATUS = "tests/test_bench_all.py::test_status_per_metric"
 WINDOW_COST = ("tests/test_pieces.py::test_verdict_and_core_cost_no_more_on_a_wider_window "
                "tests/test_pieces.py::test_failing_verdict_costs_no_more_on_a_wider_window")
 
@@ -71,4 +86,88 @@ FAULTS = [
           "            first = u\n    if first",
           UNION, "_union: the open run closed after every covering interval, so "
           "adjacent runs are not merged (only the member kernel sees it)"),
+    # the piece plan: exact spans, samples and the recurrence that continues them
+    Fault(ARCSETS, "spans.append((t, t + 2 * n, a - n - 1))\n                ex = a - n\n",
+          "spans.append((t, t + 2 * n, a - n))\n                ex = a - n + 1\n", PIECES,
+          "_Pieces.of: exact spans [a - n + 1, a], one foot short"),
+    Fault(ARCSETS, "            t = a + 1\n", "            t = a\n", PIECES,
+          "_Pieces.of: exact spans [a - n, a - 1], the anchor's foot a sample"),
+    Fault(ARCSETS, "spans.append((t, t + 2 * n, a - n - 1))", "spans.append((t, t + n, a - n - 1))",
+          PIECES, "_Pieces.of: one sample foot per residue class, not two"),
+    Fault(ARCSETS, "out[t] = [(2 * a - c, 2 * b - d)", "out[t] = [(2 * a - c, 2 * b - d + n)",
+          PIECES, "_piece_runs: each continued stop drifts one head"),
+    Fault(ARCSETS, "for t in lhs.keys() | rhs.keys() if", "for t in lhs.keys() if", PIECES,
+          "difference: the feet where only the right-hand rows have runs are not XORed"),
+    Fault(ARCSETS, "zip(cuts[::2], cuts[1::2]) if a < b]", "zip(cuts[::2], cuts[1::2])]", XOR,
+          "_xor: empty runs (a, a) kept (no listing changes; the runs stop being canonical)"),
+    Fault(ARCSETS, "        if a < b:\n            out.append((a, b))",
+          "        if a <= b:\n            out.append((a, b))", MEET,
+          "_meet: empty runs (a, a) kept (no listing changes; the runs stop being canonical)"),
+    # the rotation steps: which divider an endpoint walks along
+    Fault(MUTATION, "                return heads[i]\n", "                return heads[-1]\n",
+          STEPS, "_pred: the outermost enclosing divider (v, r), not the innermost"),
+    Fault(MUTATION, "            return feet[i]\n", "            return feet[-1]\n", STEPS,
+          "_pred: the innermost divider (q, v) the arc is outside of, not the outermost"),
+    Fault(MUTATION, "                return feet[i - 1]\n", "                return feet[0]\n",
+          STEPS, "_succ: the outermost enclosing divider (q, v), not the innermost"),
+    Fault(MUTATION, "            return heads[i - 1]\n", "            return heads[0]\n", STEPS,
+          "_succ: the innermost divider (v, r) the arc is outside of, not the outermost"),
+    # _rotate_family: the fans a family splits into near the dividers
+    Fault(MUTATION, "top = max(hi, first - 1) + n + 2", "top = max(hi, first - 1)", ROTATE,
+          "_rotate_family: a right fan's explicit members end without the n + 2 margin"),
+    Fault(MUTATION, "RightFan(_pred(p, top, d), top)", "RightFan(p - 1, top)", ROTATE,
+          "_rotate_family: a right fan's anchor steps to p - 1, past the dividers"),
+    Fault(MUTATION, "LeftFan(_pred(p, bottom, d), bottom - 2)", "LeftFan(p - 1, bottom - 2)",
+          ROTATE, "_rotate_family: a left fan's anchor steps to p - 1, past the dividers"),
+    Fault(MUTATION, "LeftFan(_pred(p, bottom, d), bottom - 2)",
+          "LeftFan(_pred(p, bottom, d), bottom - 2 - n)", ROUND_TRIP,
+          "_rotate_family: a left fan's cap n too low, so the set round trip loses members"),
+    Fault(MUTATION, "(v - 1 for v in family_scalars(f))", "(v for v in family_scalars(f))",
+          ROTATE, "_shifted: a family far from the dividers does not step back"),
+    Fault(MUTATION, "s_max = t1 if u1 is not None else min(t1, a - 1)", "s_max = t1", SPLIT,
+          "_rotate_family: the left fans' feet not capped below the right fans' "
+          "(members duplicated, so only the frozen split rules see it)"),
+    # homs: the Ext^1 classification
+    Fault(HOMS, "r + 1 <= u <= s - n:", "r + 1 <= u <= s - n + 1:", KERNEL,
+          "_ext1: the same-component head bound one too high"),
+    Fault(HOMS, "and s + 1 <= u:", "and s + 2 <= u:", KERNEL,
+          "_ext1: the next-component case misses the head s + 1"),
+    Fault(HOMS, "_ext1(x, y, i - 1, p)", "_ext1(x, y, i, p)", KERNEL,
+          "ext_dim: the degree shift one too far"),
+    Fault(HOMS, "return self is not ExtKind.ZERO", "return self is ExtKind.ZERO",
+          "tests/test_homs.py::test_ext1_case_values", "ExtKind.nonzero inverted"),
+    # exit codes and the bench verdict
+    Fault(CLI, "return 0 if rep.verdict in (True, None) else 1",
+          "return 0 if rep.verdict in (True, False, None) else 1",
+          "tests/test_cli.py::test_check_pair_exit_codes", "cli: a failed check exits 0"),
+    Fault(CLI, "except (InfgonError, OSError) as exc:", "except InfgonError as exc:",
+          "tests/test_cli.py::test_usage_and_input_errors",
+          "cli: a missing --input file raises, not exit 2"),
+    Fault(BENCH_ALL, " and min(ours) <= max(base):", ":", STATUS,
+          "bench_all.status: unresolved even when every change run beats every parent run"),
+    Fault(BENCH_ALL, "< -bound * abs(", "< -2 * bound * abs(", STATUS,
+          "bench_all.status: the worse bound doubled"),
+]
+
+# Mutants that no test can catch, and why; ``select`` is empty.
+REGIONS = "src/infgon/regions.py"
+EQUIVALENT = [
+    Fault(MUTATION, "            i = bisect_left(heads, other)\n",
+          "            i = bisect_right(heads, other)\n", "",
+          "_pred: the ties differ only at a head r = other, where the arc (v, r) is a "
+          "divider, which the kernel rejects before it steps"),
+    Fault(MUTATION, "else bisect_left(feet, other)", "else bisect_right(feet, other)", "",
+          "_pred: the ties differ only at a foot q = other, where the arc (q, v) is a divider"),
+    Fault(MUTATION, "            i = bisect_right(feet, other)\n",
+          "            i = bisect_left(feet, other)\n", "",
+          "_succ: the ties differ only at a foot q = other, where the arc (q, v) is a divider"),
+    Fault(MUTATION, "else bisect_right(heads, other)", "else bisect_left(heads, other)", "",
+          "_succ: the ties differ only at a head r = other, where the arc (v, r) is a divider"),
+    Fault(ARCSETS, "if p[i][1] < q[j][1] else", "if p[i][1] <= q[j][1] else", "",
+          "_meet: on equal stops either run may advance first; the other then meets the "
+          "next run, which starts past that stop, in nothing"),
+    Fault(REGIONS, "x = min(x, other.right_min - 1)", "x = min(x, other.right_min)", "",
+          "uncovered_witness: the walk starts on a point of other's ray, which it steps past"),
+    Fault(REGIONS, "x = max(x, other.left_max + 1)", "x = max(x, other.left_max)", "",
+          "uncovered_witness: the walk starts on a point of other's ray, which it steps past"),
 ]

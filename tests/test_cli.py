@@ -281,6 +281,9 @@ def test_usage_and_input_errors(capsys, tmp_path):
     bad.write_text("{broken")
     code, _, err = run(capsys, "nc", "--input", str(bad), "--set", "X", "--window", "-5..5")
     assert code == 2 and "JSON" in err
+    missing = str(tmp_path / "missing.json")
+    code, _, err = run(capsys, "nc", "--input", missing, "--set", "X", "--window", "-5..5")
+    assert_input_error(code, err)
     code, _, err = run(capsys, "cross", "--arcs", "nonsense")
     assert code == 2
     code, _, err = run(capsys, "ext", "--n", "3", "--arcs", "(2,9)", "--degree", "1")

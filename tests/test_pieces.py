@@ -6,7 +6,7 @@ import random
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infgon import (
@@ -22,7 +22,7 @@ from infgon import (
     rotate_set,
 )
 from infgon import arcsets
-from infgon.arcsets import (_member_rows, _nc_rows, _piece_runs, _Pieces, _union, _xor,
+from infgon.arcsets import (_meet, _member_rows, _nc_rows, _piece_runs, _Pieces, _union, _xor,
                             features, member_runs, nc_runs)
 from infgon.errors import NonAffinePiece
 from infgon.families import Band, HalfLeft, HalfRight, LeftFan, RightFan
@@ -214,18 +214,32 @@ def test_family_feet_cover_every_foot_with_a_member():
 intervals = st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)).map(sorted), max_size=4)
 
 
+def foot(heads, n: int) -> list[tuple[int, int]]:
+    """The canonical runs of foot 0 covered by the closed intervals ``heads``."""
+    return _union(0, list(map(tuple, heads)), 40, n)
+
+
+def listed(runs, n: int) -> set[int]:
+    return {u for a, b in runs for u in range(a, b, n)}
+
+
 @given(n=st.integers(1, 4), p=intervals, q=intervals)
 def test_xor_gives_the_heads_in_exactly_one_as_runs(n, p, q):
     """The rows a failing verdict expands are runs, each with first < stop."""
-    def foot(heads):
-        return _union(0, list(map(tuple, heads)), 40, n)
-
-    def listed(runs):
-        return {u for a, b in runs for u in range(a, b, n)}
-
-    got = _xor(foot(p), foot(q))
+    got = _xor(foot(p, n), foot(q, n))
     assert all(a < b for a, b in got)
-    assert listed(got) == listed(foot(p)) ^ listed(foot(q))
+    assert listed(got, n) == listed(foot(p, n), n) ^ listed(foot(q, n), n)
+
+
+@given(n=st.integers(1, 4), p=intervals, q=intervals)
+@example(n=1, p=[(2, 3)], q=[(4, 5)])  # runs [2, 4) and [4, 6) touch: their meet is empty
+def test_meet_gives_the_heads_in_both_as_canonical_runs(n, p, q):
+    """The rows ``core`` and ``frame`` expand are canonical runs: each with
+    first < stop, every stop below the next run's first."""
+    got = _meet(foot(p, n), foot(q, n))
+    assert all(a < b for a, b in got)
+    assert all(stop < first for (_, stop), (first, _) in zip(got, got[1:]))
+    assert listed(got, n) == listed(foot(p, n), n) & listed(foot(q, n), n)
 
 
 # Closed intervals in either order (a > b is empty, as ``crossed_heads`` may

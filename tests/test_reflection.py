@@ -36,7 +36,9 @@ from infgon import (
     nc_window,
     rotate_arc,
     rotate_arc_inverse,
+    rotate_set,
 )
+from infgon.arcsets import features
 from infgon.oracles import random_divider_case, random_family_rotation_case
 
 from conftest import demo
@@ -126,6 +128,22 @@ def test_inverse_rotation_is_rotation_conjugated_by_reflection():
         assert rotate_arc_inverse(reflect(a), rd) == reflect(rotate_arc(a, d)), (d, a)
         assert rotate_arc(reflect(a), rd) == reflect(rotate_arc_inverse(a, d)), (d, a)
     assert seen >= {1, 2, 3, 4}
+
+
+def test_reflected_rotation_undoes_rotate_set():
+    """rho mu_{rho D} rho inverts mu_D = ``rotate_set(., D)`` on sets: the
+    round trip gives back every member on the hull of the set +- 30, though
+    not its representation, which grows."""
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(300):
+        p, x, d = random_family_rotation_case(rng)
+        seen.add(p.n)
+        back = reflect(rotate_set(reflect(rotate_set(x, d)), reflect(d)))
+        pts = features(x)
+        w = Window(min(pts) - 30, max(pts) + 30)
+        assert members_in_window(back, w) == members_in_window(x, w), (x, d)
+    assert seen == {1, 2, 3, 4}
 
 
 def summary(conds):
