@@ -34,8 +34,8 @@ P3 = ModelParams(3)
     ],
 )
 def test_ext1_case_values(x, y, kind):
-    assert ext1_case(x, y, P3) is kind
-    assert ext1_case(x, y, P3).nonzero is (kind is not ExtKind.ZERO)
+    got = ext1_case(x, y, P3)
+    assert got is kind and got.nonzero is (kind is not ExtKind.ZERO)
 
 
 def test_ext1_case_rejects_non_admissible():
