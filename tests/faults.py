@@ -149,13 +149,15 @@ FAULTS = [
           "bench_all.status: the worse bound doubled"),
 ]
 
-# Mutants that no test can catch, and why; ``select`` is empty.
+# Mutants that no test can catch, and why; ``select`` is empty.  A tie in a
+# rotation step's bisection means the stepped arc is a divider: the kernel
+# rejects those before it steps, and ``_rotate_family`` steps only arcs that
+# reach past the divider hull.
 REGIONS = "src/infgon/regions.py"
 EQUIVALENT = [
     Fault(MUTATION, "            i = bisect_left(heads, other)\n",
           "            i = bisect_right(heads, other)\n", "",
-          "_pred: the ties differ only at a head r = other, where the arc (v, r) is a "
-          "divider, which the kernel rejects before it steps"),
+          "_pred: the ties differ only at a head r = other, where the arc (v, r) is a divider"),
     Fault(MUTATION, "else bisect_left(feet, other)", "else bisect_right(feet, other)", "",
           "_pred: the ties differ only at a foot q = other, where the arc (q, v) is a divider"),
     Fault(MUTATION, "            i = bisect_right(feet, other)\n",
