@@ -52,8 +52,8 @@ print("\nfountain loci of the closure:")
 for label, reg in (("left-fountains: ", left), ("right-fountains:", right)):
     rays = [[] if v is None else [v] for v in (reg.left_max, reg.right_min)]
     print(f"  {label} points {sorted(reg.points)}, rays {rays[0]} / {rays[1]}")
-fin = finiteness_check(y)
-print(f"  right-inside-left (contravariant): {fin.contravariant_ok}")
-print(f"  left-inside-right (covariant):     {fin.covariant_ok}")
+contra, co = finiteness_check(y)
+print(f"  right-inside-left (contravariant): {contra.ok}")
+print(f"  left-inside-right (covariant):     {co.ok}")
 
 print(f"\nframe of the closure (members crossing nothing in it): {frame(y, w)}")

@@ -35,7 +35,7 @@ for a in (Arc(-4, 3), Arc(-4, 9), Arc(-7, 6)):
 
 print("\neach rotation is certified by its extension triangle:")
 for a in (Arc(-4, 3), Arc(-4, 9)):
-    res = mutation_via_triangle(a, d, p)
+    res = mutation_via_triangle(a, d)
     tri = res.via_triangle
     mids = " (+) ".join(str(m) for m in tri.middles()) or "0"
     print(f"  {tri.left} -> {mids} -> {tri.right}")

@@ -23,12 +23,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arcs": ("Arc", "ModelParams", "component", "cross", "is_admissible", "normalize",
              "serre", "shift", "tau"),
-    "arcsets": ("ArcSet", "FinitenessReport", "PtolemyReport", "Window", "admissible_arcs_in",
-                "contains", "crosses_set", "double_nc_extras", "finiteness_check",
-                "fountain_loci", "frame", "in_nc_nc", "is_ptolemy_window", "members_in_window",
-                "nc_window"),
-    "cotorsion": ("Condition", "PairReport", "RigidityReport", "check_pair", "core",
-                  "rigidity_check"),
+    "arcsets": ("ArcSet", "Condition", "Window", "admissible_arcs_in", "contains",
+                "crosses_set", "double_nc_extras", "finiteness_check", "fountain_loci", "frame",
+                "in_nc_nc", "is_ptolemy_window", "members_in_window", "nc_window"),
+    "cotorsion": ("PairReport", "check_pair", "core", "rigidity_check"),
     "documents": ("Document", "parse_document", "serialize_document"),
     "errors": ("InfgonError",),
     "families": ("Band", "Family", "HalfLeft", "HalfRight", "LeftFan", "RightFan"),

@@ -420,19 +420,26 @@ def fountain_loci(s: ArcSet) -> tuple[IntRegion, IntRegion]:
     return IntRegion.of(*left), IntRegion.of(*right)
 
 
-class FinitenessReport(NamedTuple):
-    contravariant_ok: bool
-    covariant_ok: bool
-    contravariant_witness: int | None = None
-    covariant_witness: int | None = None
+class Condition(NamedTuple):
+    """The result of every check: true exactly when ``ok``; a failure carries
+    its ``witnesses``.  ``mode`` is "exact", or "windowed" when decided on a
+    window only."""
+
+    ok: bool
+    mode: str
+    witnesses: tuple = ()
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
-def finiteness_check(s: ArcSet) -> FinitenessReport:
-    """Fountain inclusions: right in left (contravariant), left in right (covariant)."""
+def finiteness_check(s: ArcSet) -> tuple[Condition, Condition]:
+    """Fountain inclusions: (right in left (contravariant), left in right
+    (covariant)); a witness is an integer in the one region, not the other."""
     left, right = fountain_loci(s)
-    rw = right.uncovered_witness(left)
-    lw = left.uncovered_witness(right)
-    return FinitenessReport(rw is None, lw is None, rw, lw)
+    rw, lw = right.uncovered_witness(left), left.uncovered_witness(right)
+    return (Condition(rw is None, "exact", () if rw is None else (rw,)),
+            Condition(lw is None, "exact", () if lw is None else (lw,)))
 
 
 def frame(s: ArcSet, w: Window) -> list[Arc]:
@@ -441,18 +448,10 @@ def frame(s: ArcSet, w: Window) -> list[Arc]:
     return plan.meet(plan.members(s), plan.closure(s))
 
 
-class PtolemyReport(NamedTuple):
-    ok: bool
-    pair: tuple[Arc, Arc] | None = None
-    missing: Arc | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_ptolemy_window(s: ArcSet, w: Window) -> PtolemyReport:
+def is_ptolemy_window(s: ArcSet, w: Window) -> Condition:
     """For every crossing pair in the window, all admissible corner arcs must
-    belong to the set (full symbolic membership, not windowed)."""
+    belong to the set (full symbolic membership); a witness is
+    ``(a, b, missing_corner)``."""
     p = s.params
     members = members_in_window(s, w)
     for i, a in enumerate(members):
@@ -462,8 +461,8 @@ def is_ptolemy_window(s: ArcSet, w: Window) -> PtolemyReport:
             (r, sx), (t, u) = sorted((a, b))  # crossing forces r < t < sx < u
             for corner in (Arc(r, t), Arc(r, u), Arc(t, sx), Arc(sx, u)):
                 if is_admissible(corner, p) and not contains(s, corner):
-                    return PtolemyReport(False, (a, b), corner)
-    return PtolemyReport(True)
+                    return Condition(False, "windowed", (a, b, corner))
+    return Condition(True, "windowed")
 
 
 def double_nc_extras(s: ArcSet, w: Window) -> list[Arc]:

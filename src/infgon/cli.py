@@ -135,27 +135,26 @@ def _frame(a, c) -> Report:
 
 def _fountains(a, c) -> Report:
     left, right = (_region_json(reg) for reg in infgon.fountain_loci(c.set))
-    fin = infgon.finiteness_check(c.set)
+    contra, co = infgon.finiteness_check(c.set)
     return Report(
         [
             f"left-fountains:  {left}",
             f"right-fountains: {right}",
-            (fin.contravariant_ok, "right-fountains inside left-fountains"),
-            (fin.covariant_ok, "left-fountains inside right-fountains"),
+            (contra.ok, "right-fountains inside left-fountains"),
+            (co.ok, "left-fountains inside right-fountains"),
         ],
-        witnesses=[w for w in (fin.contravariant_witness, fin.covariant_witness) if w is not None],
+        witnesses=[*contra.witnesses, *co.witnesses],
         result={"left": left, "right": right},
-        details={"contravariant_ok": fin.contravariant_ok, "covariant_ok": fin.covariant_ok},
+        details={"contravariant_ok": contra.ok, "covariant_ok": co.ok},
     )
 
 
 def _ptolemy(a, c) -> Report:
     rep = infgon.is_ptolemy_window(c.set, c.w)
     lines = [(rep.ok, f"set {a.set} is a Ptolemy diagram on [{c.w.lo}, {c.w.hi}]")]
-    if rep.ok:
-        return Report(lines, True)
-    lines.append(f"crossing pair {rep.pair[0]} {rep.pair[1]} misses corner {rep.missing}")
-    return Report(lines, False, [*rep.pair, rep.missing])
+    if not rep.ok:
+        lines.append("crossing pair {} {} misses corner {}".format(*rep.witnesses))
+    return Report(lines, rep.ok, rep.witnesses)
 
 
 _PAIR_LABELS = {

@@ -23,16 +23,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
 from .arcs import Arc, ModelParams, cross, require_admissible
-from .arcsets import ArcSet, Window, _Pieces, features, finiteness_check
+from .arcsets import ArcSet, Condition, Window, _Pieces, features, finiteness_check
 from .errors import WindowTooSmall
 
 __all__ = [*_EXPORTS["cotorsion"]]
-
-
-class Condition(NamedTuple):
-    ok: bool
-    mode: str  # "windowed" or "exact"
-    witnesses: tuple = ()
 
 
 class PairReport(NamedTuple):
@@ -77,12 +71,9 @@ def check_pair(
     d2 = d1 if same else plan.difference(plan.members(y), plan.closure(x))
     cond1 = Condition(not d1, "windowed", tuple(d1))
     cond2 = cond1 if same else Condition(not d2, "windowed", tuple(d2))
-    fx = finiteness_check(x)
+    fx = finiteness_check(x)  # (contravariant, covariant)
     fy = fx if same else finiteness_check(y)
-    ok3, ok4 = fx.contravariant_ok, fy.covariant_ok
-    cond3 = Condition(ok3, "exact", () if ok3 else (fx.contravariant_witness,))
-    cond4 = Condition(ok4, "exact", () if ok4 else (fy.covariant_witness,))
-    return PairReport(cond1, cond2, cond3, cond4, w)
+    return PairReport(cond1, cond2, fx[0], fy[1], w)
 
 
 def core(x: ArcSet, y: ArcSet, w: Window) -> list[Arc]:
@@ -95,16 +86,9 @@ def core(x: ArcSet, y: ArcSet, w: Window) -> list[Arc]:
     return plan.meet(mx, mx if x == y else plan.members(y))
 
 
-class RigidityReport(NamedTuple):
-    ok: bool
-    witness: tuple[Arc, Arc] | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def rigidity_check(arcs: Iterable[Arc], p: ModelParams) -> RigidityReport:
-    """All extension degrees 1..n vanish within the collection.
+def rigidity_check(arcs: Iterable[Arc], p: ModelParams) -> Condition:
+    """All extension degrees 1..n vanish within the collection; a witness is
+    a crossing pair.
 
     Decided by pairwise crossing: two admissible arcs have some nonzero
     ``Ext^i`` exactly when they cross, an equivalence that
@@ -116,5 +100,5 @@ def rigidity_check(arcs: Iterable[Arc], p: ModelParams) -> RigidityReport:
     for a in items:
         for b in items:
             if cross(a, b):
-                return RigidityReport(False, (a, b))
-    return RigidityReport(True)
+                return Condition(False, "exact", (a, b))
+    return Condition(True, "exact")

@@ -320,7 +320,7 @@ class RotationResult(NamedTuple):
     via_triangle: ExtTriangle
 
 
-def mutation_via_triangle(a: Arc, d: DividerSet, p: ModelParams) -> RotationResult:
+def mutation_via_triangle(a: Arc, d: DividerSet) -> RotationResult:
     """Rotate ``a`` and certify the move through its extension triangle.
 
     The triangle realizing Ext^1(image, a) must have every nonzero middle
@@ -328,11 +328,9 @@ def mutation_via_triangle(a: Arc, d: DividerSet, p: ModelParams) -> RotationResu
     summands and are dropped).  Any disagreement between the triangle route
     and the rotation route raises, never passes silently.
     """
-    if p != d.params:
-        raise ValueError("model parameters disagree with the divider set")
     image = rotate_arc(a, d)
     try:
-        tri = ext_triangle(image, a, p)
+        tri = ext_triangle(image, a, d.params)
     except NoExtension as exc:
         raise TriangleMismatch(
             f"rotation image {image} of {a} admits no extension back onto it"

@@ -308,7 +308,7 @@ def run_mutation_fuzz(num_cases: int, seed: int = 0) -> FuzzReport:
                 if successor(v, arc, d) != cell.successor(v):
                     rep.cellwalk_failures.append((p.n, d, arc, "succ", v))
         try:
-            res = mutation_via_triangle(a, d, p)
+            res = mutation_via_triangle(a, d)
             if res.image != image:
                 rep.triangle_failures.append((p.n, d, a, "image drift"))
         except TriangleMismatch as exc:

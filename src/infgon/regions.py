@@ -47,20 +47,17 @@ class IntRegion(NamedTuple):
         for x in sorted(self.points):
             if x not in other:
                 return x
-        if self.left_max is not None:  # walk down our left ray
-            x, floor = self.left_max, other.left_max
-            if other.right_min is not None:  # other's right ray covers the rest
-                x = min(x, other.right_min - 1)
-            while floor is None or x > floor:  # no floor: other has finitely many points
-                if x not in other:
-                    return x
+        lo, hi = other.left_max, other.right_min  # other's rays (-inf, lo] and [hi, inf)
+        if self.left_max is not None:  # walk down our left ray from below hi, past other's points
+            x = self.left_max if hi is None else min(self.left_max, hi - 1)
+            while x in other.points:
                 x -= 1
-        if self.right_min is not None:  # walk up our right ray
-            x, ceil = self.right_min, other.right_min
-            if other.left_max is not None:
-                x = max(x, other.left_max + 1)
-            while ceil is None or x < ceil:
-                if x not in other:
-                    return x
+            if lo is None or x > lo:
+                return x
+        if self.right_min is not None:  # walk up our right ray from above lo
+            x = self.right_min if lo is None else max(self.right_min, lo + 1)
+            while x in other.points:
                 x += 1
+            if hi is None or x < hi:
+                return x
         return None

@@ -26,6 +26,7 @@ class Fault(NamedTuple):
 ARCSETS, FAMILIES = "src/infgon/arcsets.py", "src/infgon/families.py"
 MUTATION, HOMS = "src/infgon/mutation.py", "src/infgon/homs.py"
 CLI, BENCH_ALL = "src/infgon/cli.py", "scripts/bench_all.py"
+COTORSION, REGIONS = "src/infgon/cotorsion.py", "src/infgon/regions.py"
 LOCI = "tests/test_families.py::test_loci_of_a_set_gather_every_family"
 SMALL_WORLD = "tests/test_families.py::test_crossed_heads_match_enumeration_on_a_small_world"
 UNION = "tests/test_pieces.py::test_union_gives_the_covered_heads_as_canonical_runs"
@@ -39,6 +40,7 @@ SPLIT = "tests/test_mutation.py::test_family_split_matches_the_frozen_per_kind_r
 ROUND_TRIP = "tests/test_reflection.py::test_reflected_rotation_undoes_rotate_set"
 KERNEL = "tests/test_homs.py::test_kernel_matches_shifted_reference"
 STATUS = "tests/test_bench_all.py::test_status_per_metric"
+SUBSET = "tests/test_regions.py::test_subset_witness_against_enumeration"
 WINDOW_COST = ("tests/test_pieces.py::test_verdict_and_core_cost_no_more_on_a_wider_window "
                "tests/test_pieces.py::test_failing_verdict_costs_no_more_on_a_wider_window")
 
@@ -51,6 +53,36 @@ FAULTS = [
           "fountain_loci: a bounded interval loses its last point (a fan's only one)"),
     Fault(ARCSETS, "points.extend(range(lo, hi + 1))", "pass", LOCI,
           "fountain_loci: the points of bounded intervals dropped"),
+    # the fountain inclusions: the witness walks and the two halves of the check
+    Fault(REGIONS, "min(self.left_max, hi - 1)", "min(self.left_max, hi)", SUBSET,
+          "uncovered_witness: the left-ray walk starts on other's right ray, a point of other"),
+    Fault(REGIONS, "max(self.right_min, lo + 1)", "max(self.right_min, lo)", SUBSET,
+          "uncovered_witness: the right-ray walk starts on other's left ray, a point of other"),
+    Fault(ARCSETS, '''else (rw,)),
+            Condition(lw is None, "exact", () if lw is None else (lw,)))''',
+          '''else (lw,)),
+            Condition(lw is None, "exact", () if lw is None else (rw,)))''',
+          "tests/test_arcsets.py::test_finiteness_examples "
+          "tests/test_cli_snapshot.py::test_cli_output_matches_snapshot",
+          "finiteness_check: the two witnesses swapped"),
+    Fault(COTORSION, "fx[0], fy[1]", "fx[1], fy[0]",
+          "tests/test_cotorsion.py::test_half_line_pair_passes "
+          "tests/test_pair_runs.py::test_run_comparison_matches_brute_sets",
+          "check_pair: the covariant half of x and the contravariant half of y"),
+    # frame, the double closure and mutate_pair's input checks
+    Fault(ARCSETS, "plan.meet(plan.members(s), plan.closure(s))",
+          "plan.meet(plan.members(s), plan.members(s))",
+          "tests/test_arcsets.py::test_frame_examples "
+          "tests/test_closure_queries.py::test_frame_matches_brute",
+          "frame: the member rows met with themselves, not with the closure's"),
+    Fault(ARCSETS, "bound = Window(min(pts) - (n + 2), max(pts) + (n + 2))",
+          "bound = Window(min(pts) - 1, max(pts) + 1)",
+          "tests/test_closure_queries.py::test_double_closure_matches_brute[4]",
+          "double_nc_extras: the hull margin 1, not n + 2, so a crossing arc of nc s "
+          "past the hull is missed"),
+    Fault(MUTATION, "not (w.lo <= b.t and b.u <= w.hi and", "not (",
+          "tests/test_mutation.py::test_mutate_pair_rejects_divider_outside_core",
+          "mutate_pair: a divider outside the window passes the core test"),
     # _Boxed.crossed_heads: the two crossing cases read off the box
     Fault(FAMILIES, "            x = _first_from(x, u1 - 1, n)\n", "            pass\n",
           SMALL_WORLD, "crossed_heads: the foot residue step of a single head dropped"),
@@ -153,7 +185,6 @@ FAULTS = [
 # rotation step's bisection means the stepped arc is a divider: the kernel
 # rejects those before it steps, and ``_rotate_family`` steps only arcs that
 # reach past the divider hull.
-REGIONS = "src/infgon/regions.py"
 EQUIVALENT = [
     Fault(MUTATION, "            i = bisect_left(heads, other)\n",
           "            i = bisect_right(heads, other)\n", "",
@@ -168,8 +199,9 @@ EQUIVALENT = [
     Fault(ARCSETS, "if p[i][1] < q[j][1] else", "if p[i][1] <= q[j][1] else", "",
           "_meet: on equal stops either run may advance first; the other then meets the "
           "next run, which starts past that stop, in nothing"),
-    Fault(REGIONS, "x = min(x, other.right_min - 1)", "x = min(x, other.right_min)", "",
-          "uncovered_witness: the walk starts on a point of other's ray, which it steps past"),
-    Fault(REGIONS, "x = max(x, other.left_max + 1)", "x = max(x, other.left_max)", "",
-          "uncovered_witness: the walk starts on a point of other's ray, which it steps past"),
+    Fault(ARCSETS, "bound = Window(min(pts) - (n + 2), max(pts) + (n + 2))",
+          "bound = Window(min(pts) - (n + 1), max(pts) + (n + 1))", "",
+          "double_nc_extras: margin n + 1; the docstring's argument needs only the heads "
+          "in (M, M + n] and, mirrored, the feet in [m - n, m), so any margin of at least n "
+          "lists the same crossing arcs"),
 ]

@@ -9,6 +9,7 @@ from infgon import (
     Arc,
     ArcSet,
     Band,
+    Condition,
     DividerSet,
     HalfLeft,
     HalfRight,
@@ -199,14 +200,13 @@ def test_fountain_loci_examples():
 
 
 def test_finiteness_examples():
-    assert finiteness_check(X) == finiteness_check(ArcSet.of(P3))  # vacuous
-    assert finiteness_check(X).contravariant_ok and finiteness_check(X).covariant_ok
-    rep = finiteness_check(ArcSet.of(P3, families=[RightFan(0, 5)]))
-    assert (rep.contravariant_ok, rep.covariant_ok) == (False, True)
-    assert rep.contravariant_witness == 0
-    rep = finiteness_check(Y_LITERAL)
-    assert rep.covariant_ok is False
-    assert rep.covariant_witness == -4
+    passed = Condition(True, "exact", ())
+    assert finiteness_check(X) == finiteness_check(ArcSet.of(P3)) == (passed, passed)  # vacuous
+    contra, co = finiteness_check(ArcSet.of(P3, families=[RightFan(0, 5)]))
+    assert (contra, co) == (Condition(False, "exact", (0,)), passed)
+    assert not contra and co
+    contra, co = finiteness_check(Y_LITERAL)
+    assert co == Condition(False, "exact", (-4,))
 
 
 def test_frame_examples():
@@ -226,13 +226,12 @@ def test_frame_uses_full_symbolic_set():
 
 def test_ptolemy_examples():
     good = ArcSet.of(P3, [Arc(-4, 0), Arc(-4, 3), Arc(-1, 3)])
-    assert is_ptolemy_window(good, Window(-20, 20)).ok
+    assert is_ptolemy_window(good, Window(-20, 20)) == Condition(True, "windowed", ())
     bad = ArcSet.of(P3, [Arc(-4, 0), Arc(-1, 3)])
     rep = is_ptolemy_window(bad, Window(-20, 20))
-    assert not rep.ok
-    assert rep.pair == (Arc(-4, 0), Arc(-1, 3))
-    assert rep.missing == Arc(-4, 3)
-    assert is_ptolemy_window(X, Window(-20, 20)).ok  # no crossing pairs
+    assert not rep
+    assert rep == Condition(False, "windowed", (Arc(-4, 0), Arc(-1, 3), Arc(-4, 3)))
+    assert is_ptolemy_window(X, Window(-20, 20))  # no crossing pairs
 
 
 def test_in_nc_nc_examples():

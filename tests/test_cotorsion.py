@@ -4,17 +4,26 @@ from infgon import (
     Arc,
     ArcSet,
     Band,
+    Condition,
+    DividerSet,
     HalfLeft,
     HalfRight,
     ModelParams,
     RightFan,
     Window,
     check_pair,
+    contains,
     core,
+    ext1_case,
+    ext_triangle,
     frame,
+    members_in_window,
+    mutate_pair,
     rigidity_check,
 )
 from infgon.errors import WindowTooSmall
+
+from conftest import demo, orbit
 
 P3 = ModelParams(3)
 W = Window(-20, 20)
@@ -125,9 +134,39 @@ def test_pairing_with_own_closure_detects_non_closed_sets():
 
 
 def test_rigidity_examples():
-    assert rigidity_check([Arc(-4, 3), Arc(-4, 6)], P3).ok
+    assert rigidity_check([Arc(-4, 3), Arc(-4, 6)], P3) == Condition(True, "exact", ())
     rep = rigidity_check([Arc(-4, 0), Arc(-1, 3)], P3)
-    assert not rep.ok
-    assert set(rep.witness) == {Arc(-4, 0), Arc(-1, 3)}
-    assert rigidity_check([Arc(-4, 3)], P3).ok
-    assert rigidity_check([], P3).ok
+    assert not rep
+    assert rep.mode == "exact" and set(rep.witnesses) == {Arc(-4, 0), Arc(-1, 3)}
+    assert rigidity_check([Arc(-4, 3)], P3)
+    assert rigidity_check([], P3)
+
+
+def extension_failure(s: ArcSet, w: Window):
+    """The first ``(a, b, middle)``: members a, b of ``w`` with Ext^1(a, b)
+    nonzero and a middle of their extension triangle outside ``s``; or None."""
+    p = s.params
+    members = members_in_window(s, w)
+    for a in members:
+        for b in members:
+            if ext1_case(a, b, p).nonzero:
+                for m in ext_triangle(a, b, p).middles():
+                    if not contains(s, m):
+                        return a, b, m
+    return None
+
+
+def test_every_passing_set_is_closed_under_extensions():
+    """X = ⊥Y and Y = X⊥ make both sets of a pair closed under extensions.
+    This reads the middles off ``homs``' triangles, with neither ``cross``
+    nor the closure kernels behind the verdict."""
+    doc = demo()
+    x, y, w = doc.sets["X"], doc.sets["Ync"], Window(-20, 20)
+    x2, y2, rep = mutate_pair(x, y, DividerSet(doc.params, doc.sets["D"].explicit), w)
+    assert check_pair(x, y, w).verdict and rep.verdict
+    cases = [(x, w), (y, w), (x2, rep.window), (y2, rep.window)]
+    cases += [(s, Window(-12, 12)) for pair in orbit() for s in pair]
+    assert [extension_failure(s, v) for s, v in cases] == [None] * len(cases)
+    # negative control: the literal Y, which fails its pair check, is not closed
+    assert extension_failure(doc.sets["Y"], Window(-9, 9)) == (Arc(-8, -4), Arc(-7, 9),
+                                                                Arc(-4, 9))

@@ -346,21 +346,21 @@ def test_mutate_pair_empty_divider():
 
 
 def test_mutation_via_triangle_examples():
-    res = mutation_via_triangle(Arc(-4, 3), D1, P3)
+    res = mutation_via_triangle(Arc(-4, 3), D1)
     assert res.image == Arc(2, 6)
     assert res.via_triangle.middles() == (Arc(-4, 6),)
-    res = mutation_via_triangle(Arc(-4, 9), D1, P3)
+    res = mutation_via_triangle(Arc(-4, 9), D1)
     assert res.image == Arc(-5, 8)
     assert res.via_triangle.middles() == ()  # both template corners degenerate
     with pytest.raises(IncompatibleArc):
-        mutation_via_triangle(Arc(-1, 9), D1, P3)
+        mutation_via_triangle(Arc(-1, 9), D1)
 
 
 def test_mutation_via_triangle_middles_stay_in_divider():
     rng = random.Random(5)
     for _ in range(100):
-        p, d, a = random_divider_case(rng)
-        res = mutation_via_triangle(a, d, p)
+        _, d, a = random_divider_case(rng)
+        res = mutation_via_triangle(a, d)
         assert all(m in d.arcs for m in res.via_triangle.middles())
         assert res.via_triangle.left == a
         assert res.via_triangle.right == res.image

@@ -9,11 +9,8 @@ from infgon import (
     Condition,
     Document,
     ExtTriangle,
-    FinitenessReport,
     IntRegion,
     ModelParams,
-    PtolemyReport,
-    RigidityReport,
     RotationResult,
     Window,
     check_pair,
@@ -29,11 +26,6 @@ TRIANGLE = ExtTriangle(Arc(0, 4), None, Arc(1, 5), Arc(1, 8))
 RECORDS = [
     (_Pieces(Window(0, 5), 3, ((0, 6, 3),)),
      "_Pieces(w=Window(lo=0, hi=5), n=3, spans=((0, 6, 3),))"),
-    (FinitenessReport(True, False, None, 4),
-     "FinitenessReport(contravariant_ok=True, covariant_ok=False, contravariant_witness=None, "
-     "covariant_witness=4)"),
-    (PtolemyReport(False, (Arc(0, 4), Arc(1, 5)), Arc(0, 1)),
-     "PtolemyReport(ok=False, pair=((0,4), (1,5)), missing=(0,1))"),
     (IntRegion.of([1, 7], [-2], [9]), "IntRegion(points=frozenset({1, 7}), left_max=-2, "
      "right_min=9)"),
     (Condition(True, "exact", ()), "Condition(ok=True, mode='exact', witnesses=())"),
@@ -43,7 +35,6 @@ RECORDS = [
      "witnesses=((-3,1), (-2,2), (-1,3))), "
      "x_contravariant=Condition(ok=True, mode='exact', witnesses=()), "
      "y_covariant=Condition(ok=True, mode='exact', witnesses=()), window=Window(lo=-3, hi=3))"),
-    (RigidityReport(True), "RigidityReport(ok=True, witness=None)"),
     (Document(P3, {}), "Document(params=ModelParams(n=3), sets={})"),
     (TRIANGLE, "ExtTriangle(left=(0,4), mid1=None, mid2=(1,5), right=(1,8))"),
     (RotationResult(Arc(0, 4), TRIANGLE),

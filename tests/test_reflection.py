@@ -108,14 +108,13 @@ def test_closures_commute_with_reflection_and_finiteness_swaps():
         rs = reflect(s)
         assert members_in_window(rs, w) == reflected(members_in_window(s, w)), s
         assert nc_window(rs, w) == reflected(nc_window(s, w)), s
-        fin, rfin = finiteness_check(s), finiteness_check(rs)
-        assert (rfin.contravariant_ok, rfin.covariant_ok) == (fin.covariant_ok,
-                                                              fin.contravariant_ok), s
+        (contra, co), (rcontra, rco) = finiteness_check(s), finiteness_check(rs)
+        assert (rcontra.ok, rco.ok) == (co.ok, contra.ok), s
         left, right = fountain_loci(s)
-        if rfin.contravariant_witness is not None:  # in rho's right locus, not its left
-            assert -rfin.contravariant_witness in left and -rfin.contravariant_witness not in right
-        if rfin.covariant_witness is not None:
-            assert -rfin.covariant_witness in right and -rfin.covariant_witness not in left
+        for v in rcontra.witnesses:  # in rho's right locus, not its left
+            assert -v in left and -v not in right
+        for v in rco.witnesses:
+            assert -v in right and -v not in left
 
 
 def test_inverse_rotation_is_rotation_conjugated_by_reflection():
