@@ -28,7 +28,7 @@ class ModelParams(_ModelParamsBase):
     __slots__ = ()
 
     def __new__(cls, n: int) -> "ModelParams":
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if type(n) is not int or n < 1:  # bool included
             raise ValueError(f"modulus must be a positive integer, got {n!r}")
         return tuple.__new__(cls, (n,))
 

@@ -78,7 +78,7 @@ class Window(_WindowBase):
     __slots__ = ()
 
     def __new__(cls, lo: int, hi: int) -> "Window":
-        if not all(isinstance(e, int) and not isinstance(e, bool) for e in (lo, hi)):
+        if type(lo) is not int or type(hi) is not int:  # bool included
             raise ValueError(f"window ends must be integers, got [{lo!r}, {hi!r}]")
         if lo >= hi:
             raise ValueError(f"window needs lo < hi, got [{lo}, {hi}]")

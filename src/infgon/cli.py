@@ -236,8 +236,7 @@ def _oracle(a, c) -> Report:
         "serre_mismatches": len(sd),
         "hom_serre_mismatches": len(hs),
         "fuzz_cases": fuzz.cases,
-        "fuzz_failures": len(fuzz.involution_failures) + len(fuzz.image_failures)
-        + len(fuzz.cellwalk_failures) + len(fuzz.triangle_failures),
+        "fuzz_failures": len(fuzz.failures),
     }
     ok = not cx and not sd and not hs and fuzz.ok
     return Report(lines, ok, [arc for pair in cx[:4] for arc in pair], details=details)

@@ -44,11 +44,7 @@ class Document(NamedTuple):
 
 
 def _int_pair(v: object, locus: str) -> tuple[int, int]:
-    if (
-        not isinstance(v, list)
-        or len(v) != 2
-        or not all(isinstance(x, int) and not isinstance(x, bool) for x in v)
-    ):
+    if not isinstance(v, list) or len(v) != 2 or not all(type(x) is int for x in v):
         raise ValidationError(f"{locus}: expected a pair of integers, got {v!r}")
     return v[0], v[1]
 
@@ -78,7 +74,7 @@ def parse_document(data: bytes | str, n: int | None = None) -> Document:
         raise ValidationError(f"top level: unknown fields {sorted(unknown)}")
     if n is None:
         n = obj.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if type(n) is not int or n < 1:  # bool included
         raise ValidationError(f"n: expected a positive integer, got {n!r}")
     params = ModelParams(n)
     raw_sets = obj.get("sets", {})

@@ -37,7 +37,6 @@ errors, never recoverable conditions.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
 from . import _EXPORTS
@@ -62,23 +61,22 @@ from .homs import ExtTriangle, ext_triangle
 __all__ = [*_EXPORTS["mutation"]]
 
 
-@dataclass(frozen=True)
-class DividerSet:
+class _DividerSetBase(NamedTuple):
+    params: ModelParams
+    arcs: frozenset[Arc]
+
+
+class DividerSet(_DividerSetBase):
     """Finite set of pairwise non-crossing admissible arcs.
 
     Construction also builds the index the rotation steps read: for each
     divider endpoint v, the sorted heads of the arcs starting at v and the
     sorted feet of the arcs ending at v.  The index is derived from ``arcs``
-    and takes no part in equality, hashing or ``repr``.
+    and kept outside the tuple, out of equality, hashing and ``repr``.
     """
 
-    params: ModelParams
-    arcs: frozenset[Arc]
-    _starts: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    _ends: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", _checked_arcs(self.arcs, self.params))
+    def __new__(cls, params: ModelParams, arcs: Iterable[Arc]) -> "DividerSet":
+        self = tuple.__new__(cls, (params, _checked_arcs(arcs, params)))
         items = sorted(self.arcs)
         for i, a in enumerate(items):
             for b in items[i + 1 :]:
@@ -89,8 +87,9 @@ class DividerSet:
         for t, u in items:  # sorted, so every list below is sorted too
             starts.setdefault(t, []).append(u)
             ends.setdefault(u, []).append(t)
-        object.__setattr__(self, "_starts", {v: tuple(us) for v, us in starts.items()})
-        object.__setattr__(self, "_ends", {v: tuple(ts) for v, ts in ends.items()})
+        self._starts = {v: tuple(us) for v, us in starts.items()}
+        self._ends = {v: tuple(ts) for v, ts in ends.items()}
+        return self
 
     @staticmethod
     def of(params: ModelParams, arcs: Iterable[Arc]) -> "DividerSet":

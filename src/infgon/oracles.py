@@ -17,7 +17,7 @@ endpoints.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .arcs import Arc, ModelParams, cross, is_admissible, serre
 from .arcsets import ArcSet, Window, admissible_arcs_in, crosses_set
@@ -263,22 +263,20 @@ def random_family_rotation_case(rng: random.Random):
         return p, x, d
 
 
-@dataclass
-class FuzzReport:
-    cases: int = 0
-    involution_failures: list = field(default_factory=list)
-    image_failures: list = field(default_factory=list)
-    cellwalk_failures: list = field(default_factory=list)
-    triangle_failures: list = field(default_factory=list)
+class FuzzReport(NamedTuple):
+    cases: int
+    involution_failures: list
+    image_failures: list
+    cellwalk_failures: list
+    triangle_failures: list
+
+    @property
+    def failures(self) -> list:
+        return [f for kind in self[1:] for f in kind]
 
     @property
     def ok(self) -> bool:
-        return not (
-            self.involution_failures
-            or self.image_failures
-            or self.cellwalk_failures
-            or self.triangle_failures
-        )
+        return not self.failures
 
 
 def run_mutation_fuzz(num_cases: int, seed: int = 0) -> FuzzReport:
@@ -290,10 +288,9 @@ def run_mutation_fuzz(num_cases: int, seed: int = 0) -> FuzzReport:
     both arcs, and the extension-triangle route must certify the move.
     """
     rng = random.Random(seed)
-    rep = FuzzReport()
+    rep = FuzzReport(num_cases, [], [], [], [])
     for _ in range(num_cases):
         p, d, a = random_divider_case(rng)
-        rep.cases += 1
         image = rotate_arc(a, d)
         if not is_admissible(image, p) or any(cross(image, b) for b in d.arcs):
             rep.image_failures.append((p.n, d, a, image))

@@ -27,6 +27,7 @@ ARCSETS, FAMILIES = "src/infgon/arcsets.py", "src/infgon/families.py"
 MUTATION, HOMS = "src/infgon/mutation.py", "src/infgon/homs.py"
 CLI, BENCH_ALL = "src/infgon/cli.py", "scripts/bench_all.py"
 COTORSION, REGIONS = "src/infgon/cotorsion.py", "src/infgon/regions.py"
+ORACLES = "src/infgon/oracles.py"
 LOCI = "tests/test_families.py::test_loci_of_a_set_gather_every_family"
 SMALL_WORLD = "tests/test_families.py::test_crossed_heads_match_enumeration_on_a_small_world"
 UNION = "tests/test_pieces.py::test_union_gives_the_covered_heads_as_canonical_runs"
@@ -41,6 +42,7 @@ ROUND_TRIP = "tests/test_reflection.py::test_reflected_rotation_undoes_rotate_se
 KERNEL = "tests/test_homs.py::test_kernel_matches_shifted_reference"
 STATUS = "tests/test_bench_all.py::test_status_per_metric"
 SUBSET = "tests/test_regions.py::test_subset_witness_against_enumeration"
+BROKEN_STEP = "tests/test_oracles.py::test_fuzz_reports_a_broken_step"
 WINDOW_COST = ("tests/test_pieces.py::test_verdict_and_core_cost_no_more_on_a_wider_window "
                "tests/test_pieces.py::test_failing_verdict_costs_no_more_on_a_wider_window")
 
@@ -69,6 +71,11 @@ FAULTS = [
           "tests/test_cotorsion.py::test_half_line_pair_passes "
           "tests/test_pair_runs.py::test_run_comparison_matches_brute_sets",
           "check_pair: the covariant half of x and the contravariant half of y"),
+    Fault(COTORSION, "w.lo > min(pts) - n - 2 or w.hi < max(pts) + n + 2",
+          "w.lo > min(pts) - n or w.hi < max(pts) + n",
+          "tests/test_pair_runs.py::test_verdict_on_the_narrowest_guarded_window_holds_on_wider_ones",
+          "check_pair: the guard's margin n, not n + 2, admits a window whose verdict a wider "
+          "one overturns"),
     # frame, the double closure and mutate_pair's input checks
     Fault(ARCSETS, "plan.meet(plan.members(s), plan.closure(s))",
           "plan.meet(plan.members(s), plan.members(s))",
@@ -159,6 +166,19 @@ FAULTS = [
     Fault(MUTATION, "s_max = t1 if u1 is not None else min(t1, a - 1)", "s_max = t1", SPLIT,
           "_rotate_family: the left fans' feet not capped below the right fans' "
           "(members duplicated, so only the frozen split rules see it)"),
+    # the records behind the rotation: the divider set and the fuzz report
+    Fault(MUTATION, '''                if cross(a, b):
+                    raise IncompatibleArc(f"divider arcs {a} and {b} cross")
+''', "                pass\n", "tests/test_mutation.py::test_divider_validation",
+          "DividerSet: crossing divider arcs accepted"),
+    Fault(ORACLES, "for kind in self[1:] for f in kind]",
+          "for kind in self[1:3] + self[4:] for f in kind]", BROKEN_STEP,
+          "FuzzReport.failures: the cellwalk failures dropped"),
+    Fault(ORACLES, "for kind in self[1:] for f in kind]", "for kind in self[2:] for f in kind]",
+          "tests/test_records.py::test_fuzz_report_gathers_every_failure_kind",
+          "FuzzReport.failures: the involution failures dropped"),
+    Fault(ORACLES, "return not self.failures", "return True", BROKEN_STEP,
+          "FuzzReport.ok: always true"),
     # homs: the Ext^1 classification
     Fault(HOMS, "r + 1 <= u <= s - n:", "r + 1 <= u <= s - n + 1:", KERNEL,
           "_ext1: the same-component head bound one too high"),

@@ -1,14 +1,24 @@
+import re
+from enum import IntEnum
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from infgon import (
     Arc,
+    Band,
+    HalfLeft,
+    HalfRight,
+    LeftFan,
     ModelParams,
+    RightFan,
+    Window,
     component,
     cross,
     is_admissible,
     normalize,
+    parse_document,
     serre,
     shift,
     tau,
@@ -41,6 +51,30 @@ def test_arc_requires_order():
 def test_arc_refuses_non_integer_endpoints(t, u):
     with pytest.raises(ValueError, match="must be integers"):
         Arc(t, u)
+
+
+class K(IntEnum):
+    THREE = 3
+
+
+@pytest.mark.parametrize("bad", [True, K.THREE], ids=["bool", "IntEnum"])
+@pytest.mark.parametrize("build,message", [
+    (lambda v: Arc(v, 7), "arc endpoints must be integers, got ({v!r}, 7)"),
+    (lambda v: ModelParams(v), "modulus must be a positive integer, got {v!r}"),
+    (lambda v: Window(v, 9), "window ends must be integers, got [{v!r}, 9]"),
+    (lambda v: LeftFan(v, 0), "p: expected an integer, got {v!r}"),
+    (lambda v: RightFan(0, v), "u_min: expected an integer, got {v!r}"),
+    (lambda v: Band(v, 5), "k_max: expected an integer, got {v!r}"),
+    (lambda v: HalfLeft(v), "p: expected an integer, got {v!r}"),
+    (lambda v: HalfRight(v), "q: expected an integer, got {v!r}"),
+    (lambda v: parse_document('{"sets": {}}', n=v), "n: expected a positive integer, got {v!r}"),
+], ids=["Arc", "ModelParams", "Window", "LeftFan", "RightFan", "Band", "HalfLeft", "HalfRight",
+        "parse_document"])
+def test_constructors_take_only_plain_ints(build, message, bad):
+    """Every public constructor tests ``type(v) is int``: a ``bool`` and an
+    ``IntEnum`` member are refused alike, with the constructor's message."""
+    with pytest.raises(Exception, match=f"^{re.escape(message.format(v=bad))}$"):
+        build(bad)
 
 
 def test_normalize():

@@ -100,9 +100,9 @@ def test_importing_the_cli_loads_the_parser_and_render_only():
 
 
 # The records are NamedTuples except the family kinds, which ``perfbench/workloads.py``
-# and the tests read with ``dataclasses.fields``, ``DividerSet`` and ``FuzzReport``:
-# so the parser and ``ext``, which load none of those, never import ``dataclasses``
-# and what it imports (``inspect``, ``ast``, ...), nor run the code it generates.
+# reads with ``dataclasses.fields``: so the parser and ``ext``, which load no kind,
+# never import ``dataclasses`` and what it imports (``inspect``, ``ast``, ...), nor
+# run the code it generates.
 @pytest.mark.parametrize("code", [
     "import infgon.cli",
     f"from infgon import cli\nRESULT = cli.main({README['ext'][0]!r})",

@@ -37,6 +37,7 @@ def test_fuzz_reports_a_broken_step(monkeypatch):
     pred = mutation._pred
     monkeypatch.setattr(mutation, "_pred", lambda v, other, d: pred(other, v, d))
     rep = oracles.run_mutation_fuzz(200, 7)
-    assert rep.cellwalk_failures
+    assert rep.cellwalk_failures and not rep.ok
+    assert rep.failures == rep.cellwalk_failures
     assert {kind for *_, kind, _ in rep.cellwalk_failures} == {"pred"}
     assert not (rep.image_failures or rep.involution_failures or rep.triangle_failures)

@@ -2,16 +2,16 @@
 they are held against the frozen brute-force listings, compared as plain
 sets of arcs."""
 
-import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infgon import (
     Arc,
     ArcSet,
+    ModelParams,
     Window,
     check_pair,
     contains,
@@ -21,7 +21,8 @@ from infgon import (
 )
 from infgon.arcsets import features
 from infgon.errors import WindowTooSmall
-from infgon.families import Band, HalfLeft, HalfRight, LeftFan, RightFan, family_scalars
+from infgon.families import (_FIELDS, Band, HalfLeft, HalfRight, LeftFan, RightFan,
+                             family_scalars)
 from infgon.oracles import members_in_window_brute, nc_window_brute, random_family_rotation_case
 
 from conftest import demo, orbit
@@ -98,14 +99,20 @@ def perturbed_demo_pairs(draw):
         extra = ArcSet.of(x.params, [Arc(t, draw(st.sampled_from(range(t + 4, 61, 3))))])
     else:
         kind = draw(st.sampled_from([LeftFan, RightFan, Band, HalfLeft, HalfRight]))
-        scalars = [draw(st.integers(-60, 60)) for _ in dataclasses.fields(kind)]
+        scalars = [draw(st.integers(-60, 60)) for _ in _FIELDS[kind.kind]]
         extra = ArcSet.of(x.params, families=[kind(*scalars)])
     if draw(st.booleans()):
         x, y = y, x
     return ArcSet.of(x.params, x.explicit | extra.explicit, x.families + extra.families), y
 
 
+# n = 4, hull [1, 7]: both equalities pass on [-3, 11] (margin n) and fail
+# with witness (7, 12) on [-4, 12] (margin n + 1) and on every wider window
+FAN_PAIR = (ArcSet.of(ModelParams(4), [Arc(2, 7)], [LeftFan(7, 1)]),) * 2
+
+
 @given(pair=perturbed_demo_pairs(), grow=st.tuples(st.integers(0, 40), st.integers(0, 40)))
+@example(pair=FAN_PAIR, grow=(1, 1))
 @settings(max_examples=300, deadline=None)
 def test_verdict_on_the_narrowest_guarded_window_holds_on_wider_ones(pair, grow):
     """``check_pair`` claims its verdict for every window it admits, so the

@@ -3,7 +3,6 @@ equal the per-foot kernel applied on every foot of the window, and the cost
 of a verdict must not depend on the window's width."""
 
 import random
-from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +24,7 @@ from infgon import arcsets
 from infgon.arcsets import (_meet, _member_rows, _nc_rows, _piece_runs, _Pieces, _union, _xor,
                             features, member_runs, nc_runs)
 from infgon.errors import NonAffinePiece
-from infgon.families import Band, HalfLeft, HalfRight, LeftFan, RightFan
+from infgon.families import _FIELDS, Band, HalfLeft, HalfRight, LeftFan, RightFan
 from infgon.oracles import members_in_window_brute, nc_window_brute, random_finite_arcs
 
 from conftest import demo, orbit
@@ -38,7 +37,7 @@ def family_set(rng: random.Random, n: int, spread: int) -> ArcSet:
     integers within ``spread`` of 0."""
     p = ModelParams(n)
     kinds = [rng.choice(KINDS) for _ in range(rng.randint(1, 3))]
-    fams = [k(*(rng.randint(-spread, spread) for _ in fields(k))) for k in kinds]
+    fams = [k(*(rng.randint(-spread, spread) for _ in _FIELDS[k.kind])) for k in kinds]
     return ArcSet.of(p, random_finite_arcs(rng, p, 4, -spread, spread), fams)
 
 

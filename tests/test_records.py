@@ -7,6 +7,7 @@ from infgon import (
     Arc,
     ArcSet,
     Condition,
+    DividerSet,
     Document,
     ExtTriangle,
     IntRegion,
@@ -17,6 +18,7 @@ from infgon import (
 )
 from infgon.arcsets import _Pieces
 from infgon.cellwalk import CellBoundary
+from infgon.oracles import FuzzReport
 from infgon.render import RenderResult
 
 P3 = ModelParams(3)
@@ -42,6 +44,10 @@ RECORDS = [
      "mid2=(1,5), right=(1,8)))"),
     (CellBoundary(None, (Arc(0, 4),)), "CellBoundary(ceiling=None, floors=((0,4),))"),
     (RenderResult(b"x\n"), "RenderResult(payload=b'x\\n', warnings=())"),
+    (DividerSet(P3, [Arc(-4, 6)]), "DividerSet(params=ModelParams(n=3), arcs=frozenset({(-4,6)}))"),
+    (FuzzReport(1, [], [], [(3, "pred", 0)], []),
+     "FuzzReport(cases=1, involution_failures=[], image_failures=[], "
+     "cellwalk_failures=[(3, 'pred', 0)], triangle_failures=[])"),
 ]
 
 
@@ -52,3 +58,9 @@ def test_records_keep_their_repr_and_refuse_assignment(record, text):
     for name in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
+
+
+def test_fuzz_report_gathers_every_failure_kind():
+    rep = FuzzReport(4, ["involution"], ["image"], ["cellwalk"], ["triangle"])
+    assert rep.failures == ["involution", "image", "cellwalk", "triangle"] and not rep.ok
+    assert FuzzReport(4, [], [], [], []).ok
