@@ -23,7 +23,7 @@ from infgon import (
     shift,
     tau,
 )
-from infgon.errors import DegeneratePair, NonAdmissible
+from infgon.errors import DegeneratePair, NonAdmissible, ValidationError
 
 from conftest import admissible_arcs
 
@@ -73,7 +73,8 @@ class K(IntEnum):
 def test_constructors_take_only_plain_ints(build, message, bad):
     """Every public constructor tests ``type(v) is int``: a ``bool`` and an
     ``IntEnum`` member are refused alike, with the constructor's message."""
-    with pytest.raises(Exception, match=f"^{re.escape(message.format(v=bad))}$"):
+    with pytest.raises((ValueError, ValidationError),
+                       match=f"^{re.escape(message.format(v=bad))}$"):
         build(bad)
 
 
