@@ -17,11 +17,6 @@ from .arcs import Arc
 __all__ = ["CellBoundary", "cell_boundary", "walk_predecessor", "walk_successor"]
 
 
-def _encloses(outer: Arc, inner: Arc) -> bool:
-    """Weak interval containment, excluding equality."""
-    return outer != inner and outer.t <= inner.t and inner.u <= outer.u
-
-
 class CellBoundary(NamedTuple):
     """Boundary structure of one cell: optional ceiling plus floor arcs.
 
@@ -58,16 +53,23 @@ def cell_boundary(a: Arc, dividers: frozenset[Arc] | set[Arc]) -> CellBoundary:
     inside exactly one cell: under the innermost divider arc enclosing it
     (or in the unbounded outer cell), above the divider arcs maximal there.
     """
-    enclosing = [d for d in dividers if _encloses(d, a)]
+    t, u = a
+    enclosing = [d for d in dividers if d.t <= t and u <= d.u and d != a]
     ceiling = max(enclosing, key=lambda d: (d.t, -d.u)) if enclosing else None
     if ceiling is None:
-        pool = [d for d in dividers]
+        pool = dividers
     else:
-        pool = [d for d in dividers if d != ceiling and _encloses(ceiling, d)]
-    floors = tuple(
-        sorted(d for d in pool if not any(_encloses(e, d) for e in pool if e != d))
-    )
-    return CellBoundary(ceiling, floors)
+        q, r = ceiling
+        pool = [d for d in dividers if q <= d.t and d.u <= r and d != ceiling]
+    # by foot, then head: an arc is enclosed by another iff an earlier arc
+    # reaches as far, or a later one starts at the same foot
+    floors: list[Arc] = []
+    for d in sorted(pool):
+        if floors and d.t == floors[-1].t:
+            floors[-1] = d
+        elif not floors or d.u > floors[-1].u:
+            floors.append(d)
+    return CellBoundary(ceiling, tuple(floors))
 
 
 def walk_predecessor(v: int, a: Arc, dividers: frozenset[Arc] | set[Arc]) -> int:

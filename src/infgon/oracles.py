@@ -8,10 +8,13 @@ member, and the window listings of :mod:`infgon.arcsets` versus
 candidate-by-candidate filtering.  The library
 is only trusted as far as these sweeps stay empty.
 
-The sweeps state their claims through the public ``ext_dim`` / ``hom_dim``,
-never through the kernel behind them.  The rotation fuzz builds one
-:func:`~infgon.cellwalk.cell_boundary` per arc and walks it at both
-endpoints.
+The sweeps state their claims through the public ``ext_dim`` / ``hom_dim`` /
+``cross``, never through the kernel behind them.  ``hom_serre_mismatches``
+computes each distinct Hom pair once: it tabulates Hom over the window's
+ordered pairs and reads Hom(y, serre(x)) off that table whenever serre(x)
+lies in the window.  The rotation fuzz runs the rotation kernel once per arc
+and direction, and builds one :func:`~infgon.cellwalk.cell_boundary` per arc
+to walk at both endpoints.
 """
 
 from __future__ import annotations
@@ -19,20 +22,14 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
+from . import mutation
 from .arcs import Arc, ModelParams, cross, is_admissible, serre
 from .arcsets import ArcSet, Window, admissible_arcs_in, crosses_set
 from .cellwalk import cell_boundary
 from .errors import TriangleMismatch
 from .families import Band, HalfLeft, HalfRight, LeftFan, RightFan, family_scalars
 from .homs import ext_dim, hom_dim
-from .mutation import (
-    DividerSet,
-    mutation_via_triangle,
-    predecessor,
-    rotate_arc,
-    rotate_arc_inverse,
-    successor,
-)
+from .mutation import DividerSet, mutation_via_triangle, rotate_arc, rotate_arc_inverse
 
 __all__ = [
     "FuzzReport",
@@ -57,8 +54,15 @@ def cross_ext_mismatches(p: ModelParams, lo: int, hi: int) -> list[tuple[Arc, Ar
     bad = []
     for x in arcs:
         for y in arcs:
-            if cross(x, y) != any(ext_dim(x, y, i, p) for i in degrees):
-                bad.append((x, y))
+            crossing = cross(x, y)
+            for i in degrees:
+                if ext_dim(x, y, i, p):
+                    if not crossing:
+                        bad.append((x, y))
+                    break
+            else:
+                if crossing:
+                    bad.append((x, y))
     return bad
 
 
@@ -66,26 +70,32 @@ def serre_duality_mismatches(
     p: ModelParams, lo: int, hi: int
 ) -> list[tuple[Arc, Arc, int]]:
     """Pairs and degrees violating ext_dim(x,y,i) == ext_dim(y,x,n+1-i)."""
-    n = p.n
     arcs = list(admissible_arcs_in(Window(lo, hi), p))
+    degrees = [(i, p.n + 1 - i) for i in range(1, p.n + 1)]
     bad = []
     for idx, x in enumerate(arcs):
         for y in arcs[idx:]:
-            for i in range(1, n + 1):
-                if ext_dim(x, y, i, p) != ext_dim(y, x, n + 1 - i, p):
+            for i, j in degrees:
+                if ext_dim(x, y, i, p) != ext_dim(y, x, j, p):
                     bad.append((x, y, i))
     return bad
 
 
 def hom_serre_mismatches(p: ModelParams, lo: int, hi: int) -> list[tuple[Arc, Arc]]:
-    """Pairs violating hom_dim(x, y) == hom_dim(y, serre(x))."""
+    """Pairs violating hom_dim(x, y) == hom_dim(y, serre(x)).
+
+    ``table[k][m]`` is hom_dim(arcs[k], arcs[m]); when serre(x) is a window
+    arc, the right-hand sides for x are that arc's column.
+    """
     arcs = list(admissible_arcs_in(Window(lo, hi), p))
+    index = {a: k for k, a in enumerate(arcs)}
+    table = [bytes([hom_dim(x, y, p) for y in arcs]) for x in arcs]
     bad = []
-    for x in arcs:
+    for x, row in zip(arcs, table):
         sx = serre(x, p)
-        for y in arcs:
-            if hom_dim(x, y, p) != hom_dim(y, sx, p):
-                bad.append((x, y))
+        k = index.get(sx)
+        back = [hom_dim(y, sx, p) for y in arcs] if k is None else [r[k] for r in table]
+        bad += [(x, y) for y, h, b in zip(arcs, row, back) if h != b]
     return bad
 
 
@@ -157,12 +167,12 @@ def rotation_mismatches(x: ArcSet, d: DividerSet, got: ArcSet) -> list[Arc]:
 def _random_admissible(rng: random.Random, n: int, lo: int, hi: int) -> Arc | None:
     """Uniform-ish admissible arc with both endpoints in [lo, hi]."""
     for _ in range(64):
-        t = rng.randint(lo, hi - 2)
+        t = rng.randrange(lo, hi - 1)
         d0 = 2 if n == 1 else n + 1
         top = (hi - t - d0) // n
         if top < 0:
             continue
-        return Arc(t, t + d0 + n * rng.randint(0, top))
+        return Arc(t, t + d0 + n * rng.randrange(top + 1))
     return None
 
 
@@ -171,7 +181,7 @@ def random_finite_arcs(
 ) -> list[Arc]:
     """Small random admissible arc set within a window."""
     out = set()
-    for _ in range(rng.randint(1, max_arcs)):
+    for _ in range(rng.randrange(1, max_arcs + 1)):
         a = _random_admissible(rng, p.n, lo, hi)
         if a is not None:
             out.add(a)
@@ -192,7 +202,7 @@ def random_divider_case(
         if first is None:
             continue
         arcs.add(first)
-        for _ in range(rng.randint(0, max_arcs - 1)):
+        for _ in range(rng.randrange(max_arcs)):
             mode = rng.random()
             base = rng.choice(sorted(arcs))
             if mode < 0.4 and base.u - base.t > n + 2:
@@ -214,8 +224,8 @@ def random_divider_case(
 
 
 def _random_family(rng: random.Random, lo: int = -15, hi: int = 15):
-    kind = rng.randint(0, 4)
-    a, b = rng.randint(lo, hi), rng.randint(lo, hi)
+    kind = rng.randrange(5)
+    a, b = rng.randrange(lo, hi + 1), rng.randrange(lo, hi + 1)
     if kind == 0:
         return LeftFan(a, a - 2 - abs(b) % 8)
     if kind == 1:
@@ -237,7 +247,7 @@ def random_family_rotation_case(rng: random.Random):
         n = rng.choice((1, 2, 3, 4))
         p = ModelParams(n)
         arcs: set[Arc] = set()
-        want = rng.randint(1, 3)
+        want = rng.randrange(1, 4)
         for _ in range(30):
             if len(arcs) >= want:
                 break
@@ -248,7 +258,7 @@ def random_family_rotation_case(rng: random.Random):
             continue
         d = DividerSet.of(p, arcs)
         fams = []
-        want_f = rng.randint(1, 3)
+        want_f = rng.randrange(1, 4)
         for _ in range(25):
             if len(fams) >= want_f:
                 break
@@ -286,7 +296,13 @@ def run_mutation_fuzz(num_cases: int, seed: int = 0) -> FuzzReport:
     (rotate_arc asserts this internally), the inverse rotation must undo it,
     the step rules must match the explicit cell walk at every endpoint of
     both arcs, and the extension-triangle route must certify the move.
+
+    The kernel runs once per arc and direction; the step rules are the
+    module's ``mutation._pred`` / ``_succ`` as they stand at the call.
     """
+    if num_cases < 0:
+        raise ValueError(f"number of fuzz cases must be >= 0, got {num_cases}")
+    pred, succ = mutation._pred, mutation._succ
     rng = random.Random(seed)
     rep = FuzzReport(num_cases, [], [], [], [])
     for _ in range(num_cases):
@@ -297,12 +313,15 @@ def run_mutation_fuzz(num_cases: int, seed: int = 0) -> FuzzReport:
         back = rotate_arc_inverse(image, d)
         if back != a:
             rep.involution_failures.append((p.n, d, a, image, back))
+        rotate_arc_inverse(a, d)  # the kernel's checks on the two other steps
+        rotate_arc(image, d)
         for arc in (a, image):
             cell = cell_boundary(arc, d.arcs)
-            for v in arc:
-                if predecessor(v, arc, d) != cell.predecessor(v):
+            t, u = arc
+            for v, other in ((t, u), (u, t)):
+                if pred(v, other, d) != cell.predecessor(v):
                     rep.cellwalk_failures.append((p.n, d, arc, "pred", v))
-                if successor(v, arc, d) != cell.successor(v):
+                if succ(v, other, d) != cell.successor(v):
                     rep.cellwalk_failures.append((p.n, d, arc, "succ", v))
         try:
             res = mutation_via_triangle(a, d)

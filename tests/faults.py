@@ -199,6 +199,28 @@ FAULTS = [
           "bench_all.status: unresolved even when every change run beats every parent run"),
     Fault(BENCH_ALL, "< -bound * abs(", "< -2 * bound * abs(", STATUS,
           "bench_all.status: the worse bound doubled"),
+    # the oracles' one-pass loops and the corpus draws
+    Fault(ORACLES, "else [r[k] for r in table]", "else table[k]",
+          "tests/test_oracles.py::test_hom_sweep_matches_the_pairwise_claim",
+          "hom_serre_mismatches: the Hom table read transposed, Hom(serre(x), y) for "
+          "Hom(y, serre(x))"),
+    Fault(ORACLES, "for v, other in ((t, u), (u, t)):", "for v, other in ((t, u),):",
+          "tests/test_oracles.py::test_fuzz_compares_the_steps_at_both_endpoints",
+          "run_mutation_fuzz: the step rules compared with the cell walk at the foot only"),
+    Fault(ORACLES, """                    if not crossing:
+                        bad.append((x, y))
+                    break
+            else:
+                if crossing:""", """                    if crossing:
+                        bad.append((x, y))
+                    break
+            else:
+                if not crossing:""", "tests/test_oracles.py::test_sweeps_report_a_flipped_case",
+          "cross_ext_mismatches: the two mismatch branches swapped, so every agreeing pair "
+          "is listed"),
+    Fault(ORACLES, "t = rng.randrange(lo, hi - 1)", "t = rng.randrange(lo, hi - 2)",
+          "tests/test_oracles.py::test_corpora_draw_the_same_cases",
+          "_random_admissible: the foot drawn from [lo, hi - 3], which shifts every corpus"),
 ]
 
 # Mutants that no test can catch, and why; ``select`` is empty.  A tie in a
